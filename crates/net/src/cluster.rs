@@ -1,13 +1,11 @@
-//! The operator seam: one `Cluster` API over every runtime.
+//! The operator seam: the `Cluster` API of a running cluster.
 //!
 //! A cluster of real-network aggregation nodes is operated the same way
-//! whether each node owns an OS thread and a socket
-//! ([`crate::runtime::ThreadCluster`]), thousands of virtual nodes share
-//! one socket ([`crate::mux::MuxCluster`]), or the virtual nodes are
-//! sharded across processes and hosts. The [`Cluster`] trait captures
-//! that surface — spawn, addresses, report draining, local-value
-//! updates, traffic accounting, shutdown — so tests, benches, and
-//! examples are written once and run against every runtime.
+//! whether its virtual nodes share one process
+//! ([`crate::mux::MuxCluster`]) or are sharded across processes and
+//! hosts. The [`Cluster`] trait captures that surface — addresses,
+//! report draining, local-value updates, named queries, traffic
+//! accounting, shutdown.
 //!
 //! Traffic is accounted per node and per plane in [`TrafficCounts`]:
 //! aggregation datagrams (the paper's push-pull exchanges) separately
@@ -26,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reserves `n` distinct loopback addresses by binding ephemeral-port
 /// sockets, recording their addresses, and releasing them only after all
-/// `n` ports are chosen. Shared by every loopback address plan
-/// ([`crate::runtime::ClusterConfig::loopback`],
-/// [`crate::mux::PeerTable::loopback_split`]).
+/// `n` ports are chosen. Backs the loopback address plans of
+/// [`crate::mux::PeerTable::loopback_split`].
 pub(crate) fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
     let mut addrs = Vec::with_capacity(n);
     let mut held = Vec::with_capacity(n);
@@ -137,7 +134,7 @@ impl AddAssign for TrafficCounts {
 }
 
 /// Lock-free mutable twin of [`TrafficCounts`], shared between the
-/// threads of a runtime (one cell per hosted node).
+/// runtime's threads (one cell per hosted node).
 #[derive(Debug, Default)]
 pub(crate) struct TrafficCell {
     aggregation_sent: AtomicU64,
@@ -237,27 +234,14 @@ impl TrafficCell {
 /// handle hosts. In a sharded deployment those map to a contiguous range
 /// of cluster-wide identifiers, exposed by [`Cluster::node_id`].
 pub trait Cluster: Sized {
-    /// Everything needed to spawn this runtime.
-    type Config;
-
-    /// Spawns the cluster. `values(id)` supplies the initial local value
-    /// of the node with *cluster-wide* identifier `id` (in an unsharded
-    /// cluster, identifiers and local indices coincide).
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket and thread-spawn errors.
-    fn spawn_cluster(config: Self::Config, values: &dyn Fn(usize) -> f64) -> io::Result<Self>;
-
     /// Number of nodes hosted by this handle.
     fn node_count(&self) -> usize;
 
     /// Cluster-wide identifier of local node `index`.
     fn node_id(&self, index: usize) -> NodeId;
 
-    /// The socket addresses this handle receives on (one per node for
-    /// thread-per-node, a mux shard's reader socket set — its advertised
-    /// address first).
+    /// The socket addresses this handle receives on: a shard's reader
+    /// socket set, its advertised address first.
     fn addrs(&self) -> Vec<SocketAddr>;
 
     /// Drains the epoch reports local node `index` produced since the
@@ -272,8 +256,8 @@ pub trait Cluster: Sized {
     fn datagram_counts(&self, index: usize) -> TrafficCounts;
 
     /// Drains the protocol trace events local node `index` recorded since
-    /// the last call. Empty unless the runtime was configured with
-    /// tracing enabled (see each runtime's config).
+    /// the last call. Empty unless the cluster was configured with
+    /// tracing enabled.
     fn take_trace(&self, index: usize) -> Vec<epidemic_telemetry::TraceEvent> {
         let _ = index;
         Vec::new()
@@ -338,6 +322,15 @@ pub trait Cluster: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn loopback_cluster_ports_are_distinct() {
+        let addrs = reserve_loopback_addrs(5).unwrap();
+        let mut ports: Vec<u16> = addrs.iter().map(|a| a.port()).collect();
+        ports.sort_unstable();
+        ports.dedup();
+        assert_eq!(ports.len(), 5);
+    }
 
     #[test]
     fn traffic_counts_sum_and_overhead() {

@@ -2,7 +2,7 @@
 //!
 //! The paper's aggregation protocol is overlay-agnostic — it only ever
 //! asks the membership layer for *one random neighbor per exchange*. This
-//! module makes that seam explicit for the real-network runtimes: a
+//! module makes that seam explicit for the real-network runtime: a
 //! [`PeerDirectory`] answers `GETNEIGHBOR()` ([`PeerSampler::draw_peer`]),
 //! resolves peer addresses, and — when the membership itself is gossiped —
 //! emits and consumes its own wire traffic through the same socket and
@@ -12,7 +12,7 @@
 //!
 //! * [`StaticDirectory`] — the classic static peer table. Draws are the
 //!   deterministic `(seed, id, initiated-exchange count)` stream the
-//!   mux-vs-threads parity tests rely on.
+//!   same-seed parity tests rely on.
 //! * [`GossipDirectory`] — one NEWSCAST [`MembershipNode`] per node.
 //!   Views travel as codec tags 4/5 (full) or 8/9 (deltas: only the
 //!   descriptors the partner is believed to lack, with a periodic
@@ -34,8 +34,8 @@
 //! [`PeerDirectory::absorb_piggyback`]. This spreads both views and
 //! address books without dedicated datagrams.
 //!
-//! Directories are sans-io: the embedding (thread-per-node runtime or mux
-//! runtime) owns sockets and clocks, calls [`PeerDirectory::poll`] on
+//! Directories are sans-io: the embedding (the mux runtime, or a test
+//! harness) owns sockets and clocks, calls [`PeerDirectory::poll`] on
 //! timer wake-ups, feeds incoming membership datagrams to
 //! [`PeerDirectory::handle`], and transmits whatever [`DirectoryMessage`]s
 //! come back.
@@ -55,16 +55,17 @@ use std::sync::Arc;
 /// (both streams are derived from the cluster seed and the node id).
 const GOSSIP_SEED_SALT: u64 = 0x4E45_5753; // "NEWS"
 
-/// Salt for the static directory's peer-draw stream. Shared by every
-/// runtime so that a same-seed cluster draws the same peer sequence
-/// regardless of which runtime hosts it.
+/// Salt for the static directory's peer-draw stream, so that a same-seed
+/// cluster draws the same peer sequence whatever its socket or shard
+/// layout.
 const DRAW_SEED_SALT: u64 = 0x5EED;
 
 /// Where a directory wants a message delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
     /// A node known by identifier; the embedding resolves the address
-    /// (mux: peer table; threads: [`PeerDirectory::addr_of`]).
+    /// (mux: peer table; address-routed embeddings:
+    /// [`PeerDirectory::addr_of`]).
     Node(NodeId),
     /// An explicit socket address (introducer bootstrap before any
     /// identifier is known).
@@ -164,8 +165,8 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
     }
 
     /// Processes an incoming membership datagram. `src` is the datagram's
-    /// source address when the embedding knows it (thread-per-node
-    /// runtime); responses are pushed into `out`.
+    /// source address when the embedding knows it (address-routed
+    /// embeddings); responses are pushed into `out`.
     fn handle(
         &mut self,
         payload: &DirectoryPayload,
@@ -242,7 +243,7 @@ pub trait PeerDirectory: PeerSampler + Send + fmt::Debug {
 pub const STALE_VIEW_CYCLES: u64 = 8;
 
 /// `Box<dyn PeerDirectory>` is itself a sampler (stand-in for `dyn`
-/// upcasting, unavailable at this crate's MSRV), so runtimes can pass
+/// upcasting, unavailable at this crate's MSRV), so embeddings can pass
 /// their boxed directory straight to `GossipNode::poll_sampler`.
 impl PeerSampler for Box<dyn PeerDirectory> {
     fn draw_peer(&mut self) -> Option<NodeId> {
@@ -253,10 +254,10 @@ impl PeerSampler for Box<dyn PeerDirectory> {
 /// Draws a uniformly random peer among `n` nodes, excluding `me`.
 /// Returns `None` when the node is alone.
 ///
-/// Shared by every runtime through [`StaticDirectory`]: combined with
-/// lazy selection (`GossipNode::poll_with`), a node's peer sequence is a
-/// deterministic function of `(seed, id, initiated-exchange count)` — the
-/// property the cross-runtime parity tests rely on.
+/// Backs [`StaticDirectory`]: combined with lazy selection
+/// (`GossipNode::poll_with`), a node's peer sequence is a deterministic
+/// function of `(seed, id, initiated-exchange count)` — the property the
+/// same-seed parity tests rely on.
 pub(crate) fn uniform_peer(rng: &mut Xoshiro256, n: usize, me: usize) -> Option<NodeId> {
     if n <= 1 {
         return None;
@@ -289,8 +290,8 @@ impl StaticDirectory {
         }
     }
 
-    /// A static directory over an explicit address table (the
-    /// thread-per-node runtime): node `i`'s address is `peers[i]`.
+    /// A static directory over an explicit address table (an
+    /// address-routed embedding): node `i`'s address is `peers[i]`.
     pub fn addr_routed(peers: Arc<Vec<SocketAddr>>, me: NodeId, seed: u64) -> Self {
         StaticDirectory {
             me: me.index(),
@@ -330,7 +331,7 @@ impl PeerDirectory for StaticDirectory {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Introducer {
     /// An introducer known by node id (resolvable via the mux peer
-    /// table, or via a thread-runtime address plan at build time).
+    /// table).
     Node(u64),
     /// An introducer known only by socket address (true out-of-band
     /// bootstrap).
@@ -440,8 +441,8 @@ impl GossipDirectory {
         Self::build(me, config, seed, None)
     }
 
-    /// A gossip directory that learns peer addresses itself (the
-    /// thread-per-node runtime): from join sources, introduction
+    /// A gossip directory that learns peer addresses itself (an
+    /// address-routed embedding): from join sources, introduction
     /// snapshots, and passively from every incoming datagram.
     pub fn addr_routed(
         me: NodeId,

@@ -14,18 +14,17 @@
 //!   (NEWSCAST membership gossiped over the same sockets, bootstrapped
 //!   from introducers — no static table anywhere).
 //! * [`cluster`] — the **operator seam**: the [`cluster::Cluster`] trait
-//!   (spawn, addresses, reports, local values, per-node
-//!   [`cluster::TrafficCounts`], shutdown), implemented by both runtimes
-//!   so tests, benches, and examples are written once.
+//!   (addresses, reports, local values, named queries, per-node
+//!   [`cluster::TrafficCounts`], shutdown), implemented by the mux
+//!   runtime.
 //! * [`codec`] — a compact, versioned binary wire format for protocol
 //!   messages (hand-rolled little-endian framing, no codec dependency):
 //!   aggregation exchanges, NEWSCAST view exchanges, join/introduce
 //!   bootstrap, virtual-node-routed mux frames, and exact `*_len` size
 //!   twins for traffic accounting.
-//! * [`runtime`] — the thread-per-node UDP runtime
-//!   ([`runtime::ThreadCluster`]): one OS thread and socket per node.
-//! * [`mux`] — the multiplexed runtime ([`mux::MuxCluster`]): N virtual
-//!   nodes behind a small **reader socket set** (vnode `i` homed on
+//! * [`mux`] — the UDP runtime ([`mux::MuxCluster`]): the paper's active
+//!   and passive threads realized per virtual node on a timer wheel, N
+//!   virtual nodes behind a small **reader socket set** (vnode `i` homed on
 //!   socket `i % readers`) and `workers + readers + 1` threads, driven
 //!   by per-socket reader threads and a sharded hashed timer wheel
 //!   ([`timer::ShardedTimerWheel`]) — and shardable across sockets,
@@ -38,13 +37,11 @@
 //!
 //! # Examples
 //!
-//! A two-node loopback cluster computing an average, driven through the
-//! operator seam:
+//! A two-node loopback cluster computing an average:
 //!
 //! ```no_run
 //! use epidemic_aggregation::{InstanceSpec, NodeConfig};
-//! use epidemic_net::cluster::Cluster;
-//! use epidemic_net::runtime::{ClusterConfig, ThreadCluster};
+//! use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
 //!
 //! let node_config = NodeConfig::builder()
 //!     .gamma(10)
@@ -52,14 +49,14 @@
 //!     .timeout(20)
 //!     .instance(InstanceSpec::AVERAGE)
 //!     .build()?;
-//! let config = ClusterConfig::loopback(2, node_config)?;
-//! let cluster = ThreadCluster::spawn(config, |i| (i * 10) as f64)?;
+//! let cluster = MuxCluster::spawn(MuxClusterConfig::new(2, node_config), |i| (i * 10) as f64)?;
 //! std::thread::sleep(std::time::Duration::from_millis(1200));
 //! for (node, reports) in cluster.take_all_reports().into_iter().enumerate() {
 //!     for report in reports {
 //!         println!("node {node} epoch {} -> {:?}", report.epoch, report.scalar(0));
 //!     }
 //! }
+//! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -69,7 +66,6 @@
 //!
 //! ```no_run
 //! use epidemic_aggregation::{InstanceSpec, NodeConfig};
-//! use epidemic_net::cluster::Cluster;
 //! use epidemic_net::directory::{DirectorySpec, GossipDirectoryConfig};
 //! use epidemic_net::mux::{MuxCluster, MuxClusterConfig};
 //!
@@ -98,7 +94,6 @@ pub mod cluster;
 pub mod codec;
 pub mod directory;
 pub mod mux;
-pub mod runtime;
 pub mod timer;
 
 pub use batch::IoBackend;
@@ -108,7 +103,6 @@ pub use directory::{
     DirectorySpec, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
 };
 pub use mux::{MuxCluster, MuxClusterConfig, PeerTable, SyscallCounts};
-pub use runtime::{ClusterConfig, NodeHandleConfig, ThreadCluster, UdpNode};
 
 // The telemetry plane's vocabulary, re-exported so operators of this
 // crate need no direct `epidemic-telemetry` dependency.

@@ -1,15 +1,18 @@
 //! Multiplexed UDP cluster runtime: thousands of nodes, a handful of
 //! threads — optionally sharded across sockets, processes, and hosts.
 //!
-//! [`crate::runtime`] realizes the paper's Figure 1 literally — one OS
-//! thread and one socket per node — which caps real-network experiments
-//! at a few hundred nodes per host. This module hosts N virtual nodes
-//! inside one process behind a small fixed **socket set** on
-//! `workers + readers + 1` OS threads:
+//! The paper's Figure 1 gives every node an active thread (one exchange
+//! per cycle) and a passive thread (answering exchanges). Taken
+//! literally — one OS thread and one socket per node — that caps
+//! real-network experiments at about a hundred nodes per host. This
+//! module realizes both behaviors per *virtual* node instead: the active
+//! one is a timer-wheel deadline, the passive one a delivered datagram.
+//! It hosts N virtual nodes inside one process behind a small fixed
+//! **socket set** on `workers + readers + 1` OS threads:
 //!
 //! * `readers` sockets, each owned by one *reader* thread
-//!   ([`MuxClusterConfig::with_readers`]; 1 reproduces the original
-//!   single-socket runtime exactly). Local vnode `i` is homed on socket
+//!   ([`MuxClusterConfig::with_readers`]; 1 is a single socket moving
+//!   every datagram). Local vnode `i` is homed on socket
 //!   `i % readers`: its datagrams arrive there and its outbound frames
 //!   leave from there, preserving per-vnode datagram ordering. Each
 //!   reader routes by the virtual-node id in the mux frame
@@ -56,11 +59,20 @@
 //! Every datagram still crosses the kernel's UDP stack (loopback or
 //! otherwise), so the runtime exercises the real codec, real sockets, and
 //! real timing — only the thread-per-node cost model is gone. A node's
-//! protocol behavior is identical to [`crate::runtime::UdpNode`]'s by
-//! construction: same state machine, same seeds, and peer randomness
-//! drawn lazily per *initiated exchange* ([`GossipNode::poll_sampler`]),
-//! so a same-seed mux and thread-per-node cluster select the same peer
-//! sequence per node.
+//! protocol behavior is a function of its cluster-wide id and the seed:
+//! peer randomness is drawn lazily per *initiated exchange*
+//! ([`GossipNode::poll_sampler`]), so same-seed clusters select the same
+//! peer sequence per node whatever their reader, backend, or shard
+//! layout.
+//!
+//! # Timer entries
+//!
+//! Each vnode has at most one *live* wheel entry: the deadline recorded
+//! in its `next_wake`. A wake whose deadline is not the live one was
+//! superseded by an earlier re-park and is dropped unprocessed. Such a
+//! stale entry fires once and dies, so the wheel's fire rate follows the
+//! protocol's deadlines however many deliveries or client RPCs pull a
+//! deadline earlier.
 //!
 //! # Examples
 //!
@@ -367,8 +379,8 @@ impl MuxClusterConfig {
         config
     }
 
-    /// Overrides the randomness seed shared by the cluster (the same
-    /// meaning as [`crate::runtime::ClusterConfig::with_seed`]).
+    /// Overrides the randomness seed shared by the cluster: every node's
+    /// state is a function of its cluster-wide id and this seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -385,8 +397,8 @@ impl MuxClusterConfig {
         self
     }
 
-    /// Overrides the reader socket/thread count. `1` reproduces the
-    /// original single-socket runtime exactly; larger counts home local
+    /// Overrides the reader socket/thread count. `1` moves every datagram
+    /// through a single socket; larger counts home local
     /// vnode `i` on socket `i % readers` (clamped at spawn to the local
     /// vnode count — extra sockets would never receive anything).
     ///
@@ -486,8 +498,9 @@ enum FrameKind {
 /// Node indices are local (shard-relative).
 #[derive(Debug)]
 enum Work {
-    /// A timer deadline fired for the node.
-    Wake(u32),
+    /// A timer deadline fired for the node: `(node, deadline)`, the
+    /// deadline it was parked for.
+    Wake(u32, u64),
     /// A datagram arrived for the node.
     Deliver(u32, WirePayload),
 }
@@ -547,10 +560,10 @@ struct VNode {
     /// The node's multi-tenant query plane: catalog replica plus one
     /// gossip instance per live named query.
     plane: QueryPlane,
-    /// Earliest deadline with a live wheel entry for this node, or
-    /// `u64::MAX` when none is known — lets workers skip redundant
-    /// schedule requests (stale extra wake-ups are harmless but cost
-    /// queue traffic).
+    /// Deadline of the node's one live wheel entry, or `u64::MAX` when
+    /// none is parked (mid-wake, or nothing due). A wake for any other
+    /// deadline is stale and dropped, so superseded entries die instead
+    /// of re-parking.
     next_wake: u64,
 }
 
@@ -757,9 +770,18 @@ impl Shared {
         self.start.elapsed().as_millis() as u64
     }
 
-    fn schedule(&self, deadline: u64, node: u32) {
-        let inbox = &self.timer_inboxes[node as usize % self.timer_inboxes.len()];
-        inbox.lock().unwrap().push((deadline, node));
+    /// Parks local node `index`'s next deadline in the wheel unless an
+    /// earlier (or equal) entry is already live. Called under the node's
+    /// lock by everything that may move its deadline: workers after each
+    /// step, and client calls (install, remove, RPC) — which therefore
+    /// never queue a wake of their own.
+    fn park(&self, index: usize, vnode: &mut VNode) {
+        let deadline = vnode.deadline();
+        if deadline < vnode.next_wake {
+            vnode.next_wake = deadline;
+            let inbox = &self.timer_inboxes[index % self.timer_inboxes.len()];
+            inbox.lock().unwrap().push((deadline, index as u32));
+        }
     }
 
     /// Home socket of local vnode `local`.
@@ -785,7 +807,7 @@ impl Shared {
 /// Handle to a running multiplexed cluster (or one shard of one).
 ///
 /// Dropping the handle shuts the cluster down (all threads exit within
-/// one poll interval), mirroring [`crate::runtime::UdpNode`].
+/// one poll interval).
 #[derive(Debug)]
 pub struct MuxCluster {
     shared: Arc<Shared>,
@@ -929,7 +951,8 @@ impl MuxCluster {
                     gossip,
                     directory: dir,
                     plane: QueryPlane::new(id, query, seed, registry.clone()),
-                    next_wake: u64::MAX,
+                    // The priming wake below is the node's live entry.
+                    next_wake: 0,
                 })
             })
             .collect();
@@ -982,7 +1005,7 @@ impl MuxCluster {
         // Prime every node with an initial wake so its first deadline is
         // computed and parked (and gossip directories send their joins).
         for i in 0..local_n {
-            shared.work.push(Work::Wake(i as u32));
+            shared.work.push(Work::Wake(i as u32, 0));
         }
 
         // Bind the client RPC listener (if any) before the protocol
@@ -1182,7 +1205,7 @@ impl MuxCluster {
     }
 
     /// Updates local node `index`'s local value (takes effect at its next
-    /// epoch, exactly like [`crate::runtime::UdpNode::set_local_value`]).
+    /// epoch).
     ///
     /// # Panics
     ///
@@ -1219,12 +1242,6 @@ impl MuxCluster {
 }
 
 impl Cluster for MuxCluster {
-    type Config = MuxClusterConfig;
-
-    fn spawn_cluster(config: MuxClusterConfig, values: &dyn Fn(usize) -> f64) -> io::Result<Self> {
-        MuxCluster::spawn(config, values)
-    }
-
     fn node_count(&self) -> usize {
         self.len()
     }
@@ -1256,25 +1273,19 @@ impl Cluster for MuxCluster {
 
     fn install_query(&self, index: usize, descriptor: QueryDescriptor) -> Result<(), QueryError> {
         let now = self.shared.now_ms();
-        let result = self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .install(descriptor, now);
+        let mut vnode = self.shared.nodes[index].lock().unwrap();
+        let result = vnode.plane.install(descriptor, now);
         // A fresh install must start gossiping before the node's next
-        // parked deadline; a wake recomputes and re-parks it.
-        self.shared.work.push(Work::Wake(index as u32));
+        // parked deadline.
+        self.shared.park(index, &mut vnode);
         result
     }
 
     fn remove_query(&self, index: usize, name: &str) -> Result<(), QueryError> {
         let now = self.shared.now_ms();
-        let result = self.shared.nodes[index]
-            .lock()
-            .unwrap()
-            .plane
-            .remove(name, now);
-        self.shared.work.push(Work::Wake(index as u32));
+        let mut vnode = self.shared.nodes[index].lock().unwrap();
+        let result = vnode.plane.remove(name, now);
+        self.shared.park(index, &mut vnode);
         result
     }
 
@@ -1390,7 +1401,7 @@ fn timer_loop(shared: &Shared, cycle_ms: u64) {
         let now = shared.now_ms();
         wheel.advance_entries(now, |deadline, node| {
             shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
-            shared.work.push(Work::Wake(node));
+            shared.work.push(Work::Wake(node, deadline));
         });
         ticks += 1;
         // The wheel ticks every millisecond; derived gauges only need to
@@ -1475,15 +1486,18 @@ fn step_vnode(
     pending: &mut [SendBatch<(u32, FrameKind)>],
 ) -> usize {
     let (index, is_wake) = match &work {
-        Work::Wake(i) => (*i as usize, true),
+        Work::Wake(i, _) => (*i as usize, true),
         Work::Deliver(i, _) => (*i as usize, false),
     };
     let mut vnode = shared.nodes[index].lock().unwrap();
     let now = shared.now_ms();
     let mut query_out: Vec<QueryOutbound> = Vec::new();
     let outbound = match work {
-        Work::Wake(_) => {
-            // This wake consumed whatever wheel entry was parked.
+        // An earlier re-park superseded this entry: the live one fires
+        // on its own, so a stale wake must not re-park a second.
+        Work::Wake(_, deadline) if deadline != vnode.next_wake => return 0,
+        Work::Wake(..) => {
+            // This wake consumes the node's live wheel entry.
             vnode.next_wake = u64::MAX;
             let VNode {
                 gossip,
@@ -1534,13 +1548,8 @@ fn step_vnode(
         .as_ref()
         .and_then(|out| vnode.directory.piggyback(out.to, now));
     shared.traffic[index].set_join_retries(vnode.directory.join_retries());
-    // Park the node's next deadline unless an earlier (or equal)
-    // wheel entry is already live. After a wake we always re-park.
-    let deadline = vnode.deadline();
-    if is_wake || deadline < vnode.next_wake {
-        vnode.next_wake = deadline;
-        shared.schedule(deadline, index as u32);
-    }
+    // After a wake `next_wake` is `u64::MAX`, so this always re-parks.
+    shared.park(index, &mut vnode);
     drop(vnode);
     if is_wake && outbound.is_some() {
         shared.agg_exchanges.inc();
@@ -1651,19 +1660,16 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
                 let index = next % shared.nodes.len();
                 next = next.wrapping_add(1);
                 let now = shared.now_ms();
-                let response = shared.nodes[index]
-                    .lock()
-                    .unwrap()
-                    .plane
-                    .handle_rpc(&request, now);
+                let mut vnode = shared.nodes[index].lock().unwrap();
+                let response = vnode.plane.handle_rpc(&request, now);
+                // An install/remove moves the plane's gossip deadline.
+                shared.park(index, &mut vnode);
+                drop(vnode);
                 shared.rpc_requests.inc();
                 if response.status.is_reject() {
                     shared.traffic[index].count_rpc_reject();
                     shared.rpc_rejects.inc();
                 }
-                // An install/remove moves the plane's gossip deadline;
-                // a wake recomputes and re-parks it immediately.
-                shared.work.push(Work::Wake(index as u32));
                 let _ = socket.send_to(&encode_rpc_response(&response), src);
             }
             // Read timeout (or spurious wake): re-check the stop flag.
@@ -1680,8 +1686,10 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_rpc_response, encode_rpc_request};
     use crate::directory::GossipDirectoryConfig;
-    use epidemic_aggregation::InstanceSpec;
+    use epidemic_aggregation::{AggregateKind, InstanceSpec};
+    use epidemic_query::RpcRequest;
 
     fn node_config(gamma: u32, cycle_ms: u64) -> NodeConfig {
         NodeConfig::builder()
@@ -2176,5 +2184,73 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// Timer fires per second over the next `window`: the count of the
+    /// `timer.fire_lag_us` histogram, which records every wheel fire.
+    fn fire_rate(cluster: &MuxCluster, window: Duration) -> f64 {
+        let fires = cluster.registry().histogram("timer.fire_lag_us");
+        let (before, start) = (fires.count(), Instant::now());
+        std::thread::sleep(window);
+        (fires.count() - before) as f64 / start.elapsed().as_secs_f64()
+    }
+
+    #[test]
+    fn client_rpcs_leave_timer_wake_rate_bounded() {
+        // Every vnode owns at most one live wheel entry, so client RPCs
+        // (which may move a node's deadline) must not leave extra entries
+        // behind that re-park themselves forever.
+        let cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(16, node_config(10, 50))
+                .with_workers(2)
+                .with_rpc_addr("127.0.0.1:0".parse().unwrap()),
+            |i| i as f64,
+        )
+        .unwrap();
+        let descriptor = QueryDescriptor::new("load", AggregateKind::Average)
+            .with_gamma(8)
+            .with_cycle_length(50)
+            .with_default_value(1.0);
+        cluster.install_query(0, descriptor).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while (0..cluster.len()).any(|i| {
+            matches!(
+                cluster.query_estimate(i, "load"),
+                Err(QueryError::UnknownQuery)
+            )
+        }) {
+            assert!(Instant::now() < deadline, "query never spread");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        let idle = fire_rate(&cluster, Duration::from_secs(1));
+
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let rpc_addr = cluster.rpc_addr().unwrap();
+        let mut buf = [0u8; 64];
+        let mut answered = 0;
+        for id in 0..4_000u64 {
+            let read = RpcRequest::Read {
+                id,
+                name: "load".into(),
+            };
+            client
+                .send_to(&encode_rpc_request(&read), rpc_addr)
+                .unwrap();
+            if let Ok((len, _)) = client.recv_from(&mut buf) {
+                answered += usize::from(decode_rpc_response(&buf[..len]).is_ok());
+            }
+        }
+        assert!(answered > 3_000, "only {answered} of 4000 RPCs answered");
+        let loaded = fire_rate(&cluster, Duration::from_secs(1));
+        cluster.shutdown();
+        assert!(idle > 0.0, "timer never fired");
+        assert!(
+            loaded <= 2.0 * idle,
+            "timer fires/s grew from {idle:.0} to {loaded:.0} after 4000 RPCs"
+        );
     }
 }

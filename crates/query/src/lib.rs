@@ -17,7 +17,7 @@
 //!   vocabulary.
 //! * [`plane`] — [`QueryPlane`]: the sans-io per-node state machine
 //!   multiplexing one `GossipNode` per live query over the shared
-//!   exchange plane. The event simulator and both UDP runtimes in
+//!   exchange plane. The event simulator and the UDP runtime in
 //!   `epidemic-net` drive this same type, so query behaviour is
 //!   conformance-testable across engines.
 //!
@@ -56,6 +56,9 @@ pub enum QueryError {
     InvalidDescriptor(&'static str),
     /// The query runs but has no readable estimate yet.
     NotReady,
+    /// A submitted value was NaN or infinite. One such contribution
+    /// would turn the aggregate non-finite at every node it reaches.
+    NonFiniteValue,
 }
 
 impl fmt::Display for QueryError {
@@ -68,6 +71,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::InvalidDescriptor(why) => write!(f, "invalid descriptor: {why}"),
             QueryError::NotReady => f.write_str("query has no estimate yet"),
+            QueryError::NonFiniteValue => f.write_str("submitted value is not finite"),
         }
     }
 }
@@ -86,6 +90,7 @@ mod tests {
             QueryError::Conflict,
             QueryError::InvalidDescriptor("empty query name"),
             QueryError::NotReady,
+            QueryError::NonFiniteValue,
         ];
         for err in all {
             assert!(!err.to_string().is_empty());

@@ -11,7 +11,7 @@
 //! deliver incoming frames through [`QueryPlane::handle_catalog`] /
 //! [`QueryPlane::handle_aggregation`], serve clients through
 //! [`QueryPlane::handle_rpc`], and transmit whatever [`QueryOutbound`]
-//! frames come back. The event simulator and both UDP runtimes drive
+//! frames come back. The event simulator and the UDP runtime drive
 //! this exact type, which is what makes sim-vs-wire conformance a test
 //! rather than a hope.
 //!
@@ -213,12 +213,20 @@ impl QueryPlane {
     /// query's admission limits. The value takes effect at the query's
     /// next epoch (snapshot semantics, same as `set_local_value`).
     ///
+    /// Every submit path — the operator seam, client RPC and the event
+    /// simulator — ends here, so this is where a non-finite value is
+    /// turned away before it can reach any gossip state.
+    ///
     /// # Errors
     ///
-    /// [`QueryError::UnknownQuery`] or [`QueryError::AdmissionRejected`]
-    /// — the latter is also counted in the per-query
-    /// `query.admission_rejects` series, never swallowed.
+    /// [`QueryError::NonFiniteValue`] for NaN or ±∞ (no admission token
+    /// is spent), [`QueryError::UnknownQuery`] or
+    /// [`QueryError::AdmissionRejected`] — the latter is also counted in
+    /// the per-query `query.admission_rejects` series, never swallowed.
     pub fn submit(&mut self, name: &str, value: f64, now: u64) -> Result<(), QueryError> {
+        if !value.is_finite() {
+            return Err(QueryError::NonFiniteValue);
+        }
         let query = self.running.get_mut(name).ok_or(QueryError::UnknownQuery)?;
         if !query.bucket.try_take(now) {
             query.rejects.inc();
@@ -693,6 +701,11 @@ mod tests {
             p.submit("gated", 3.0, 0),
             Err(QueryError::AdmissionRejected)
         );
+        // A non-finite value is refused before the bucket is consulted.
+        assert_eq!(
+            p.submit("gated", f64::NAN, 1_000),
+            Err(QueryError::NonFiniteValue)
+        );
         // After a second of refill one more lands.
         assert!(p.submit("gated", 4.0, 1_000).is_ok());
         assert_eq!(registry.counter_value("query.submits"), 3);
@@ -730,6 +743,17 @@ mod tests {
             0,
         );
         assert_eq!(submit.status, RpcStatus::Ok);
+        for value in [f64::NAN, f64::INFINITY] {
+            let bad = p.handle_rpc(
+                &RpcRequest::Submit {
+                    id: 3,
+                    name: "q".into(),
+                    value,
+                },
+                0,
+            );
+            assert_eq!(bad.status, RpcStatus::BadRequest, "submit {value}");
+        }
         let read = p.handle_rpc(
             &RpcRequest::Read {
                 id: 4,

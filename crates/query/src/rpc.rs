@@ -2,10 +2,9 @@
 //!
 //! The paper's point is that *every* node holds the aggregate, so every
 //! node is a valid RPC endpoint. These types are transport-agnostic —
-//! `epidemic-net` encodes them as wire tags 13/14, the runtimes' in-
-//! process `Cluster` methods construct them directly — and the single
+//! `epidemic-net` encodes them as wire tags 13/14 — and the single
 //! server-side entry point is [`crate::QueryPlane::handle_rpc`], so the
-//! simulator and both UDP runtimes answer byte-identically.
+//! simulator and the UDP runtime answer byte-identically.
 
 use crate::descriptor::QueryDescriptor;
 use crate::QueryError;
@@ -80,7 +79,8 @@ pub enum RpcStatus {
     AdmissionRejected = 2,
     /// A live query of the same name exists with a different descriptor.
     Conflict = 3,
-    /// The request was malformed (bad descriptor, unknown op).
+    /// The request was malformed (bad descriptor, non-finite submit,
+    /// unknown op).
     BadRequest = 4,
     /// The query exists but has not produced an estimate yet.
     NotReady = 5,
@@ -115,6 +115,7 @@ impl From<QueryError> for RpcStatus {
             QueryError::Conflict => RpcStatus::Conflict,
             QueryError::InvalidDescriptor(_) => RpcStatus::BadRequest,
             QueryError::NotReady => RpcStatus::NotReady,
+            QueryError::NonFiniteValue => RpcStatus::BadRequest,
         }
     }
 }
@@ -215,5 +216,9 @@ mod tests {
             RpcStatus::BadRequest
         );
         assert_eq!(RpcStatus::from(QueryError::NotReady), RpcStatus::NotReady);
+        assert_eq!(
+            RpcStatus::from(QueryError::NonFiniteValue),
+            RpcStatus::BadRequest
+        );
     }
 }

@@ -1,8 +1,7 @@
 //! Unified telemetry plane for the epidemic aggregation workspace.
 //!
-//! Every engine in the workspace — the event-driven simulator, the
-//! thread-per-node UDP runtime, and the multiplexed runtime — used to
-//! expose observability through ad-hoc structs with divergent shapes.
+//! Every engine in the workspace — the event-driven simulator and the
+//! multiplexed UDP runtime — used to expose observability through ad-hoc structs with divergent shapes.
 //! This crate is the one seam they all report through:
 //!
 //! * [`registry`] — a dependency-free, lock-free **metrics registry**:
@@ -14,8 +13,8 @@
 //! * [`trace`] — **protocol event tracing**: a bounded per-(v)node ring
 //!   buffer of structured [`TraceEvent`]s (exchange init / complete /
 //!   timeout, view merge, join retry, epoch transition, piggyback emit)
-//!   recorded from the sans-io node cores, so the sim and both wire
-//!   runtimes are instrumented once; exported as JSONL for post-mortem
+//!   recorded from the sans-io node cores, so the sim and the wire
+//!   runtime are instrumented once; exported as JSONL for post-mortem
 //!   analysis of any failed run.
 //! * [`http`] — a hand-rolled (std-only) Prometheus-text `/metrics`
 //!   HTTP endpoint ([`MetricsServer`]) plus a snapshot writer

@@ -1,14 +1,12 @@
 //! A thousand-node gossip cluster over real UDP — in one process, or
 //! sharded across processes and hosts.
 //!
-//! The `udp_cluster` example runs the paper's Figure 1 literally: one OS
-//! thread per node. This example runs the same protocol at a scale that
-//! architecture cannot reach on a laptop: 1024 virtual nodes (or far
-//! more — see `--n`) multiplexed behind a small reader socket set and
-//! `workers + readers + 1` OS threads (`net::mux`), with
-//! `recvmmsg`/`sendmmsg` syscall batching on Linux. Every exchange still
-//! crosses the kernel's UDP stack; only the per-node thread and socket
-//! are gone.
+//! The `udp_cluster` example is the twelve-node introduction. This one
+//! runs the same runtime (`net::mux`) at scale: 1024 virtual nodes (or
+//! far more — see `--n`) multiplexed behind a small reader socket set and
+//! `workers + readers + 1` OS threads, with `recvmmsg`/`sendmmsg`
+//! syscall batching on Linux. Every exchange still crosses the kernel's
+//! UDP stack; no node needs a thread or socket of its own.
 //!
 //! The mux wire frame routes by cluster-wide virtual-node id, so the
 //! same cluster can be sharded over multiple sockets, processes, or

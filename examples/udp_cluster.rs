@@ -1,17 +1,18 @@
-//! A real gossip cluster over UDP on localhost.
+//! A small gossip cluster over UDP on localhost.
 //!
-//! Spawns twelve OS processes' worth of protocol — one thread per node —
-//! each running the active/passive loops of the paper's Figure 1 over real
-//! datagrams, operated through the runtime-agnostic `Cluster` seam. The
-//! nodes aggregate AVERAGE and COUNT simultaneously; after a few
-//! wall-clock epochs every node reports both the average of the local
-//! values and the cluster size, computed purely by gossip.
+//! Spawns twelve nodes, each running the active/passive behavior of the
+//! paper's Figure 1 over real datagrams, operated through the `Cluster`
+//! seam. The nodes aggregate AVERAGE and COUNT simultaneously; after a
+//! few wall-clock epochs every node reports both the average of the
+//! local values and the cluster size, computed purely by gossip. The
+//! `mux_cluster` example runs the same runtime at thousands of nodes,
+//! sharded across processes, with membership gossip and client RPC.
 //!
 //! Run with: `cargo run --release --example udp_cluster`
 
 use epidemic::aggregation::{InstanceSpec, LeaderPolicy, NodeConfig};
 use epidemic::net::cluster::Cluster;
-use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
+use epidemic::net::mux::{MuxCluster, MuxClusterConfig};
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("spawning {n} UDP gossip nodes on localhost...");
     // Local values 10, 20, ..., 120: true average 65.
-    let cluster = ThreadCluster::spawn(ClusterConfig::loopback(n, node_config)?, |i| {
+    let cluster = MuxCluster::spawn(MuxClusterConfig::new(n, node_config), |i| {
         (i + 1) as f64 * 10.0
     })?;
 

@@ -11,11 +11,12 @@ use epidemic::aggregation::{AggregateKind, InstanceSpec, NodeConfig};
 use epidemic::net::cluster::Cluster;
 use epidemic::net::codec::{decode_rpc_response, encode_rpc_request};
 use epidemic::net::mux::{MuxCluster, MuxClusterConfig};
-use epidemic::net::runtime::{ClusterConfig, ThreadCluster};
-use epidemic::query::{QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcStatus};
+use epidemic::query::{
+    QueryDescriptor, QueryError, QueryPlaneConfig, RpcRequest, RpcResponse, RpcStatus,
+};
 use epidemic::sim::event::{EventConfig, QueryAction};
 use epidemic::sim::scenario::{Scenario, ValueInit};
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 /// The shared workload: an AVERAGE query whose nodes default to 4.0 with
@@ -199,8 +200,37 @@ fn query_conformance_sim_vs_mux_on_one_seed() {
     );
 }
 
-#[test]
-fn thread_cluster_serves_queries_through_the_same_seam() {
+/// Sends `request` to the RPC listener at `addr` and returns the
+/// correlated response, retrying a few times on UDP loss.
+fn send_rpc(client: &UdpSocket, addr: SocketAddr, request: RpcRequest) -> RpcResponse {
+    let frame = encode_rpc_request(&request);
+    let mut buf = [0u8; 64];
+    for _ in 0..10 {
+        client.send_to(&frame, addr).unwrap();
+        match client.recv_from(&mut buf) {
+            Ok((len, _)) => {
+                let response = decode_rpc_response(&buf[..len]).expect("decodable response");
+                assert_eq!(response.id, request.id(), "correlation id mismatch");
+                return response;
+            }
+            Err(_) => continue,
+        }
+    }
+    panic!("rpc {request:?} got no response");
+}
+
+/// A bound client socket with a read timeout for [`send_rpc`].
+fn rpc_client() -> UdpSocket {
+    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    client
+}
+
+/// A cluster of `n` AVERAGE nodes on 40 ms cycles with fast catalog
+/// gossip and a client RPC listener.
+fn rpc_cluster(n: usize, seed: u64) -> MuxCluster {
     let node_config = NodeConfig::builder()
         .gamma(10)
         .cycle_length(40)
@@ -208,13 +238,36 @@ fn thread_cluster_serves_queries_through_the_same_seam() {
         .instance(InstanceSpec::AVERAGE)
         .build()
         .unwrap();
-    let cluster = ThreadCluster::spawn(
-        ClusterConfig::loopback(8, node_config)
-            .unwrap()
+    MuxCluster::spawn(
+        MuxClusterConfig::new(n, node_config)
+            .with_workers(2)
+            .with_seed(seed)
             .with_query_config(QueryPlaneConfig {
                 gossip_period: 50,
                 ..QueryPlaneConfig::default()
-            }),
+            })
+            .with_rpc_addr("127.0.0.1:0".parse().unwrap()),
+        |i| i as f64,
+    )
+    .unwrap()
+}
+
+#[test]
+fn thread_cluster_serves_queries_through_the_same_seam() {
+    // The operator seam (install, read, submit through `Cluster`) on a
+    // small cluster, no RPC listener involved.
+    let node_config = NodeConfig::builder()
+        .gamma(10)
+        .cycle_length(40)
+        .timeout(16)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let cluster = MuxCluster::spawn(
+        MuxClusterConfig::new(8, node_config).with_query_config(QueryPlaneConfig {
+            gossip_period: 50,
+            ..QueryPlaneConfig::default()
+        }),
         |i| i as f64,
     )
     .unwrap();
@@ -222,11 +275,11 @@ fn thread_cluster_serves_queries_through_the_same_seam() {
         .install_query(0, mux_descriptor("temp").with_default_value(6.0))
         .unwrap();
     // Every node (installer or not) converges on the default fixed point.
-    let value = drive_until("thread-cluster read at node 3", 6.0, 1e-6, || match cluster
-        .query_estimate(3, "temp")
-    {
-        Ok(est) if est.settled => Some(est.value),
-        _ => None,
+    let value = drive_until("seam read at node 3", 6.0, 1e-6, || {
+        match cluster.query_estimate(3, "temp") {
+            Ok(est) if est.settled => Some(est.value),
+            _ => None,
+        }
     });
     assert!((value - 6.0).abs() < 1e-6);
     // Admission errors surface through the seam, not as silent drops.
@@ -244,50 +297,12 @@ fn thread_cluster_serves_queries_through_the_same_seam() {
 /// the estimate converges within the query's epoch geometry.
 #[test]
 fn query_rpc_over_the_wire_at_any_node() {
-    let n = 16usize;
     let truth = (15.0 * 2.0 + 18.0) / 16.0; // defaults 2.0, one submit 18.0
-    let node_config = NodeConfig::builder()
-        .gamma(10)
-        .cycle_length(40)
-        .timeout(16)
-        .instance(InstanceSpec::AVERAGE)
-        .build()
-        .unwrap();
-    let cluster = MuxCluster::spawn(
-        MuxClusterConfig::new(n, node_config)
-            .with_workers(2)
-            .with_seed(3)
-            .with_query_config(QueryPlaneConfig {
-                gossip_period: 50,
-                ..QueryPlaneConfig::default()
-            })
-            .with_rpc_addr("127.0.0.1:0".parse().unwrap()),
-        |i| i as f64,
-    )
-    .unwrap();
+    let cluster = rpc_cluster(16, 3);
     let rpc_addr = cluster.rpc_addr().expect("rpc listener bound");
-    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_millis(500)))
-        .unwrap();
+    let client = rpc_client();
+    let rpc = |request: RpcRequest| send_rpc(&client, rpc_addr, request);
     let mut next_id = 0u64;
-    let rpc = |request: RpcRequest| {
-        let frame = encode_rpc_request(&request);
-        let mut buf = [0u8; 64];
-        // UDP: retry a few times on timeout before giving up.
-        for _ in 0..10 {
-            client.send_to(&frame, rpc_addr).unwrap();
-            match client.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    let response = decode_rpc_response(&buf[..len]).expect("decodable response");
-                    assert_eq!(response.id, request.id(), "correlation id mismatch");
-                    return response;
-                }
-                Err(_) => continue,
-            }
-        }
-        panic!("rpc {request:?} got no response");
-    };
     let mut id = || {
         next_id += 1;
         next_id
@@ -368,5 +383,68 @@ fn query_rpc_over_the_wire_at_any_node() {
         text.contains("query_installed"),
         "missing query series in /metrics text:\n{text}"
     );
+    cluster.shutdown();
+}
+
+/// A NaN or infinite submit is a bad request: the client sees
+/// `BadRequest`, the rejection is counted like any other, and no node's
+/// estimate ever turns non-finite.
+#[test]
+fn non_finite_rpc_submits_are_rejected() {
+    let n = 16;
+    let cluster = rpc_cluster(n, 5);
+    let descriptor = QueryDescriptor::new("cpu", AggregateKind::Average)
+        .with_gamma(8)
+        .with_cycle_length(40)
+        .with_default_value(2.0);
+    cluster.install_query(0, descriptor).unwrap();
+    // Every node must run the query, so whichever one the listener's
+    // round-robin picks would accept a finite submit.
+    drive_until("query spread to every node", 0.0, 0.5, || {
+        let known = (0..n).all(|i| {
+            !matches!(
+                cluster.query_estimate(i, "cpu"),
+                Err(QueryError::UnknownQuery)
+            )
+        });
+        known.then_some(0.0)
+    });
+
+    let rpc_addr = cluster.rpc_addr().expect("rpc listener bound");
+    let client = rpc_client();
+    for (id, value) in [(1, f64::NAN), (2, f64::INFINITY)] {
+        let response = send_rpc(
+            &client,
+            rpc_addr,
+            RpcRequest::Submit {
+                id,
+                name: "cpu".into(),
+                value,
+            },
+        );
+        assert_eq!(response.status, RpcStatus::BadRequest, "submit {value}");
+    }
+    assert_eq!(cluster.registry().counter_value("rpc.rejects"), 2);
+    assert_eq!(cluster.total_datagram_counts().rpc_rejects, 2);
+
+    // Two whole query epochs later, every node reads the finite default.
+    let settled_from = (0..n)
+        .filter_map(|i| cluster.query_estimate(i, "cpu").ok())
+        .map(|est| est.epoch)
+        .max()
+        .unwrap_or(0)
+        + 2;
+    for i in 0..n {
+        let value = drive_until(&format!("read at node {i}"), 2.0, 1e-6, || {
+            match cluster.query_estimate(i, "cpu") {
+                Ok(est) if est.settled && est.epoch >= settled_from => {
+                    assert!(est.value.is_finite(), "node {i} reads {}", est.value);
+                    Some(est.value)
+                }
+                _ => None,
+            }
+        });
+        assert!((value - 2.0).abs() < 1e-6);
+    }
     cluster.shutdown();
 }
