@@ -18,6 +18,11 @@
 /// Returns `None` for an empty slice. With one or two values nothing is
 /// trimmed.
 ///
+/// Total over every input: values are ordered by [`f64::total_cmp`], so a
+/// NaN sorts past ±∞ (above for a positive sign bit, below for a negative
+/// one) and is trimmed like any other extreme. Only when a NaN survives
+/// the trim — too few values around it — is the result NaN.
+///
 /// # Examples
 ///
 /// ```
@@ -33,7 +38,7 @@ pub fn trimmed_mean(values: &[f64]) -> Option<f64> {
         return None;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN estimate"));
+    sorted.sort_by(f64::total_cmp);
     let trim = sorted.len() / 3;
     let kept = &sorted[trim..sorted.len() - trim];
     Some(kept.iter().sum::<f64>() / kept.len() as f64)
@@ -132,6 +137,13 @@ mod tests {
         let robust = trimmed_mean(&v).unwrap();
         assert!(robust.is_finite());
         assert!((robust - 100.0).abs() < 2.0);
+        // A NaN neither panics nor leaks: it sorts above +inf and is
+        // trimmed with it (t = 8 trims two per side).
+        let mut with_nan = v.to_vec();
+        with_nan.push(f64::NAN);
+        assert_eq!(trimmed_mean(&with_nan), Some(100.5));
+        // Untrimmable, it propagates instead of panicking.
+        assert!(trimmed_mean(&[1.0, f64::NAN]).unwrap().is_nan());
     }
 
     #[test]

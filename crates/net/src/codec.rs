@@ -1,6 +1,6 @@
 //! Binary wire format.
 //!
-//! One datagram carries one [`Message`]. The format is little-endian,
+//! One datagram carries one frame. The format is little-endian,
 //! versioned, and deliberately simple:
 //!
 //! ```text
@@ -64,17 +64,33 @@
 //!
 //! The multiplexed runtime ([`crate::mux`]) hosts many protocol nodes
 //! behind one socket, so its datagrams carry a routing prefix in front of
-//! the regular message ([`encode_mux_frame`]):
+//! the regular frame ([`Frame::encode_mux`]):
 //!
 //! ```text
 //! u8  mux version (=2)
 //! u64 destination virtual-node id
-//! ... the v1 message bytes ...
+//! ... the version-4 frame bytes ...
 //! ```
 //!
-//! Every encoder has an exact size twin (`*_len`) so traffic models can
-//! charge wire bytes without materializing buffers; the property suite in
-//! `tests/properties.rs` pins `encoded_len() == encode().len()`.
+//! # One encoder, one decoder
+//!
+//! A [`Frame`] borrows whatever is being sent — one variant per
+//! [`WirePayload`] variant — and [`Frame::encode_into`] is the only code
+//! that lays out a body. Sizes come from running that same encoder
+//! against a private byte-counting [`WireWrite`] ([`Frame::encoded_len`]),
+//! so a traffic model's byte count cannot drift from the bytes a socket
+//! sends, and [`Frame::encode`] / [`Frame::encode_mux`] allocate exactly
+//! once. [`decode_datagram`] is the only tag dispatcher and
+//! [`decode_mux_datagram`] the only mux-prefix unwrapper; for every frame
+//! `decode_datagram(&f.encode())?.as_frame() == f`.
+//!
+//! Decoding is the trust boundary: an f64 that becomes protocol state (a
+//! scalar state, an instance-map estimate, a descriptor default) must be
+//! finite and map leaders strictly ascending, as the encoder writes them;
+//! anything else is a [`DecodeError`], never a panic or a poisoned
+//! estimate. Submitted values are left to `QueryPlane::submit`, which
+//! answers NaN/±∞ `BadRequest` where a decode failure could only drop
+//! the request unanswered.
 
 use crate::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_aggregation::value::InstanceMap;
@@ -88,28 +104,35 @@ use std::error::Error;
 use std::fmt;
 use std::net::{IpAddr, SocketAddr};
 
-/// Wire format version emitted by [`encode_message`]. Version 1 lacked
-/// the delta view and piggyback tags, version 3 the query plane
-/// (tags 11–14); version 2 is permanently reserved for the mux routing
-/// prefix so the two framings can never be confused.
+/// Wire format version of every frame. Version 1 lacked the delta view
+/// and piggyback tags, version 3 the query plane (tags 11–14); version 2
+/// is permanently reserved for the mux routing prefix so the two
+/// framings can never be confused.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Wire version of the virtual-node-routed frames emitted by
-/// [`encode_mux_frame`]. Distinct from [`WIRE_VERSION`] so a mux socket
+/// [`Frame::encode_mux`]. Distinct from [`WIRE_VERSION`] so a mux socket
 /// and a plain socket can never misparse each other's datagrams.
 pub const MUX_WIRE_VERSION: u8 = 2;
+
+/// Bytes of the mux routing prefix: version + destination vnode id.
+const MUX_PREFIX_LEN: usize = 1 + 8;
 
 /// Error raised when a datagram cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The datagram was shorter than the fixed header.
+    /// The datagram ended before the frame did.
     Truncated,
     /// Unknown wire version.
     BadVersion(u8),
-    /// Unknown body or state tag.
+    /// Unknown body, state, address, kind, op or status tag.
     BadTag(u8),
     /// A carried string (query name) was not valid UTF-8.
     BadName,
+    /// A value bound for protocol state was NaN or infinite.
+    NonFinite,
+    /// Instance-map leaders were repeated or out of order.
+    UnsortedMap,
 }
 
 impl fmt::Display for DecodeError {
@@ -119,890 +142,275 @@ impl fmt::Display for DecodeError {
             DecodeError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             DecodeError::BadTag(t) => write!(f, "unknown tag {t}"),
             DecodeError::BadName => write!(f, "query name is not valid UTF-8"),
+            DecodeError::NonFinite => write!(f, "non-finite value"),
+            DecodeError::UnsortedMap => write!(f, "instance map leaders not strictly ascending"),
         }
     }
 }
 
 impl Error for DecodeError {}
 
-/// Little-endian write helpers over a plain byte vector (stand-in for the
-/// `bytes` crate's `BufMut`, which is unavailable offline).
-trait WireWrite {
-    fn put_u8(&mut self, v: u8);
-    fn put_u16_le(&mut self, v: u16);
-    fn put_u32_le(&mut self, v: u32);
-    fn put_u64_le(&mut self, v: u64);
-    fn put_f64_le(&mut self, v: f64);
+/// A little-endian byte sink (stand-in for the `bytes` crate's `BufMut`,
+/// which is unavailable offline). Implementors provide `put_slice`; the
+/// typed writers are defined on top of it.
+pub trait WireWrite {
+    /// Appends raw bytes.
+    fn put_slice(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+    /// Appends a little-endian `u16`.
+    fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    /// Appends a little-endian `u32`.
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    /// Appends a little-endian `u64`.
+    fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    /// Appends a little-endian IEEE-754 `f64`.
+    fn put_f64_le(&mut self, v: f64) {
+        self.put_slice(&v.to_le_bytes());
+    }
 }
 
 impl WireWrite for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    fn put_u16_le(&mut self, v: u16) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32_le(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64_le(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f64_le(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_le_bytes());
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-/// Little-endian read helpers that advance a byte slice (stand-in for the
-/// `bytes` crate's `Buf`). Callers must check `remaining()` first; the
-/// getters panic on underflow like their `bytes` counterparts.
-trait WireRead {
-    fn remaining(&self) -> usize;
-    fn get_u8(&mut self) -> u8;
-    fn get_u16_le(&mut self) -> u16;
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-    fn get_f64_le(&mut self) -> f64;
-}
+/// A [`WireWrite`] that only counts: [`Frame::encoded_len`] runs the real
+/// encoder against it.
+struct ByteCount(usize);
 
-impl WireRead for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn get_u8(&mut self) -> u8 {
-        let (head, rest) = self.split_at(1);
-        *self = rest;
-        head[0]
-    }
-    fn get_u16_le(&mut self) -> u16 {
-        let (head, rest) = self.split_at(2);
-        *self = rest;
-        u16::from_le_bytes(head.try_into().unwrap())
-    }
-    fn get_u32_le(&mut self) -> u32 {
-        let (head, rest) = self.split_at(4);
-        *self = rest;
-        u32::from_le_bytes(head.try_into().unwrap())
-    }
-    fn get_u64_le(&mut self) -> u64 {
-        let (head, rest) = self.split_at(8);
-        *self = rest;
-        u64::from_le_bytes(head.try_into().unwrap())
-    }
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
+impl WireWrite for ByteCount {
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 }
 
-/// Encodes a message into a fresh buffer.
-pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.put_u8(WIRE_VERSION);
-    let (tag, states): (u8, Option<&[InstanceState]>) = match &msg.body {
+/// One outbound frame, borrowing its contents — the encode-side twin of
+/// [`WirePayload`], variant for variant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Frame<'a> {
+    /// Aggregation protocol traffic (tags 0–3).
+    Aggregation(&'a Message),
+    /// Aggregation traffic with a membership trailer riding along
+    /// (tag 10).
+    Piggybacked(&'a Message, &'a Piggyback),
+    /// Membership / bootstrap traffic (tags 4–9).
+    Directory(&'a DirectoryPayload),
+    /// Query catalog gossip (tag 11).
+    Catalog {
+        /// Sending node.
+        from: NodeId,
+        /// The sender's full entry list, tombstones included.
+        entries: &'a [CatalogEntry],
+    },
+    /// A named query's aggregation frame (tag 12).
+    Query {
+        /// Owning query.
+        query: &'a str,
+        /// The carried aggregation message.
+        message: &'a Message,
+    },
+    /// A client RPC request (tag 13).
+    Rpc(&'a RpcRequest),
+    /// A client RPC response (tag 14).
+    RpcReply(&'a RpcResponse),
+}
+
+impl Frame<'_> {
+    /// Writes the frame (version byte, tag, body) into `w`. This is the
+    /// single definition of every tag's byte layout.
+    pub fn encode_into(&self, w: &mut impl WireWrite) {
+        match *self {
+            Frame::Aggregation(msg) => put_message(w, msg),
+            Frame::Piggybacked(msg, pb) => {
+                put_header(w, 10);
+                w.put_u32_le(pb.from);
+                w.put_u8(pb.descriptors.len() as u8);
+                put_descriptors(w, &pb.descriptors);
+                w.put_u8(pb.addrs.len() as u8);
+                for &(node, addr) in &pb.addrs {
+                    w.put_u32_le(node);
+                    put_addr(w, addr);
+                }
+                put_message(w, msg);
+            }
+            Frame::Directory(DirectoryPayload::View { view, reply, delta }) => {
+                // 4/5 full view, 8/9 delta; the odd tag is the reply.
+                put_header(w, 4 + u8::from(*reply) + 4 * u8::from(*delta));
+                w.put_u32_le(view.from);
+                w.put_u16_le(view.descriptors.len() as u16);
+                put_descriptors(w, &view.descriptors);
+            }
+            Frame::Directory(DirectoryPayload::Join { from }) => {
+                put_header(w, 6);
+                w.put_u32_le(*from);
+            }
+            Frame::Directory(DirectoryPayload::Introduce { from, peers }) => {
+                put_header(w, 7);
+                w.put_u32_le(*from);
+                w.put_u16_le(peers.len() as u16);
+                for entry in peers {
+                    w.put_u32_le(entry.node);
+                    w.put_u32_le(entry.timestamp);
+                    match entry.addr {
+                        None => w.put_u8(0),
+                        Some(addr) => put_addr(w, addr),
+                    }
+                }
+            }
+            Frame::Catalog { from, entries } => {
+                put_header(w, 11);
+                w.put_u64_le(from.as_u64());
+                w.put_u16_le(entries.len() as u16);
+                for entry in entries {
+                    put_descriptor(w, &entry.descriptor);
+                    w.put_u32_le(entry.version);
+                    w.put_u8(u8::from(entry.deleted));
+                    w.put_u64_le(entry.installed_at);
+                    w.put_u64_le(entry.expires_at);
+                }
+            }
+            Frame::Query { query, message } => {
+                put_header(w, 12);
+                put_name(w, query);
+                put_message(w, message);
+            }
+            Frame::Rpc(request) => {
+                put_header(w, 13);
+                w.put_u64_le(request.id());
+                w.put_u8(request.op_code());
+                match request {
+                    RpcRequest::Install { descriptor, .. } => put_descriptor(w, descriptor),
+                    RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => {
+                        put_name(w, name)
+                    }
+                    RpcRequest::Submit { name, value, .. } => {
+                        put_name(w, name);
+                        w.put_f64_le(*value);
+                    }
+                }
+            }
+            Frame::RpcReply(response) => {
+                put_header(w, 14);
+                w.put_u64_le(response.id);
+                w.put_u8(response.status as u8);
+                w.put_f64_le(response.estimate);
+                w.put_u64_le(response.epoch);
+            }
+        }
+    }
+
+    /// Exact byte length of [`encode`](Self::encode)'s output, computed
+    /// by running the encoder against a counting sink — no allocation.
+    pub fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode_into(&mut count);
+        count.0
+    }
+
+    /// Encodes the frame into one exactly-sized buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Encodes the frame behind a mux routing prefix addressed to the
+    /// virtual node `to`, into one exactly-sized buffer.
+    pub fn encode_mux(&self, to: NodeId) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(MUX_PREFIX_LEN + self.encoded_len());
+        buf.put_u8(MUX_WIRE_VERSION);
+        buf.put_u64_le(to.as_u64());
+        self.encode_into(&mut buf);
+        buf
+    }
+}
+
+fn put_header(w: &mut impl WireWrite, tag: u8) {
+    w.put_u8(WIRE_VERSION);
+    w.put_u8(tag);
+}
+
+/// A complete aggregation message: version, tag 0–3, body.
+fn put_message(w: &mut impl WireWrite, msg: &Message) {
+    let (tag, states) = match &msg.body {
         MessageBody::Request(s) => (0, Some(s)),
         MessageBody::Reply(s) => (1, Some(s)),
         MessageBody::EpochNotice => (2, None),
         MessageBody::Refuse => (3, None),
     };
-    buf.put_u8(tag);
-    buf.put_u64_le(msg.from.as_u64());
-    buf.put_u64_le(msg.epoch);
-    if let Some(states) = states {
-        buf.put_u16_le(states.len() as u16);
-        for state in states {
-            match state {
-                InstanceState::Scalar(v) => {
-                    buf.put_u8(0);
-                    buf.put_f64_le(*v);
-                }
-                InstanceState::Map(map) => {
-                    buf.put_u8(1);
-                    buf.put_u16_le(map.len() as u16);
-                    for (leader, estimate) in map.iter() {
-                        buf.put_u64_le(leader);
-                        buf.put_f64_le(estimate);
-                    }
-                }
-            }
-        }
-    }
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_message`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if the datagram is truncated, has an unknown
-/// version, or contains an unknown tag.
-pub fn decode_message(mut data: &[u8]) -> Result<Message, DecodeError> {
-    if data.remaining() < 18 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    let from = NodeId::new(data.get_u64_le());
-    let epoch = data.get_u64_le();
-    let body = match tag {
-        2 => MessageBody::EpochNotice,
-        3 => MessageBody::Refuse,
-        0 | 1 => {
-            if data.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = data.get_u16_le() as usize;
-            let mut states = Vec::with_capacity(count);
-            for _ in 0..count {
-                if data.remaining() < 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                match data.get_u8() {
-                    0 => {
-                        if data.remaining() < 8 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        states.push(InstanceState::Scalar(data.get_f64_le()));
-                    }
-                    1 => {
-                        if data.remaining() < 2 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let entries = data.get_u16_le() as usize;
-                        if data.remaining() < entries * 16 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut pairs = Vec::with_capacity(entries);
-                        for _ in 0..entries {
-                            let leader = data.get_u64_le();
-                            let estimate = data.get_f64_le();
-                            pairs.push((leader, estimate));
-                        }
-                        states.push(InstanceState::Map(InstanceMap::from_entries(pairs)));
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
-                }
-            }
-            if tag == 0 {
-                MessageBody::Request(states)
-            } else {
-                MessageBody::Reply(states)
-            }
-        }
-        t => return Err(DecodeError::BadTag(t)),
+    put_header(w, tag);
+    w.put_u64_le(msg.from.as_u64());
+    w.put_u64_le(msg.epoch);
+    let Some(states) = states else {
+        return; // control messages end at the epoch
     };
-    Ok(Message { from, epoch, body })
-}
-
-/// Exact encoded size of [`encode_message`]'s output for `msg`, without
-/// allocating. Lets traffic models charge wire bytes per message.
-pub fn encoded_len(msg: &Message) -> usize {
-    let states: Option<&[InstanceState]> = match &msg.body {
-        MessageBody::Request(s) | MessageBody::Reply(s) => Some(s),
-        MessageBody::EpochNotice | MessageBody::Refuse => None,
-    };
-    // version + tag + sender + epoch
-    let mut len = 1 + 1 + 8 + 8;
-    if let Some(states) = states {
-        len += 2; // instance count
-        for state in states {
-            len += 1; // state tag
-            len += match state {
-                InstanceState::Scalar(_) => 8,
-                InstanceState::Map(map) => 2 + 16 * map.len(),
-            };
-        }
-    }
-    len
-}
-
-/// Encodes a NEWSCAST view-exchange payload. `reply` distinguishes the
-/// passive side's answer (absorbed without a response) from the
-/// initiator's opening message; `delta` marks a payload carrying only the
-/// descriptors the partner was not known to hold (tags 8/9) instead of
-/// the sender's full view (tags 4/5).
-pub fn encode_view_message(payload: &ViewPayload, reply: bool, delta: bool) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(view_encoded_len(payload));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(match (delta, reply) {
-        (false, false) => 4,
-        (false, true) => 5,
-        (true, false) => 8,
-        (true, true) => 9,
-    });
-    buf.put_u32_le(payload.from);
-    buf.put_u16_le(payload.descriptors.len() as u16);
-    for d in &payload.descriptors {
-        buf.put_u32_le(d.node);
-        buf.put_u32_le(d.timestamp);
-    }
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_view_message`], returning the
-/// payload plus the `(reply, delta)` flags carried by the tag.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, or a tag
-/// that is not a view exchange.
-pub fn decode_view_message(mut data: &[u8]) -> Result<(ViewPayload, bool, bool), DecodeError> {
-    if data.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let (reply, delta) = match data.get_u8() {
-        4 => (false, false),
-        5 => (true, false),
-        8 => (false, true),
-        9 => (true, true),
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let from = data.get_u32_le();
-    let count = data.get_u16_le() as usize;
-    if data.remaining() < count * 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut descriptors = Vec::with_capacity(count);
-    for _ in 0..count {
-        let node = data.get_u32_le();
-        let timestamp = data.get_u32_le();
-        descriptors.push(Descriptor::new(node, timestamp));
-    }
-    Ok((ViewPayload { from, descriptors }, reply, delta))
-}
-
-/// Exact encoded size of [`encode_view_message`]'s output for `payload`.
-pub fn view_encoded_len(payload: &ViewPayload) -> usize {
-    view_message_len(payload.descriptors.len())
-}
-
-/// Encoded size of a view message carrying `descriptors` descriptors.
-///
-/// A full NEWSCAST exchange over a view of size `c` costs
-/// `2 * view_message_len(c + 1)` wire bytes: each side sends its view plus
-/// a fresh self-descriptor.
-pub const fn view_message_len(descriptors: usize) -> usize {
-    // version + tag + sender(u32) + count(u16) + (node, timestamp) pairs
-    1 + 1 + 4 + 2 + 8 * descriptors
-}
-
-/// Encodes a bootstrap join request (tag 6): "introduce me, `from`".
-pub fn encode_join_message(from: u32) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(join_message_len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(6);
-    buf.put_u32_le(from);
-    buf
-}
-
-/// Exact encoded size of a join message.
-pub const fn join_message_len() -> usize {
-    1 + 1 + 4 // version + tag + sender
-}
-
-/// Encodes a bootstrap introduction (tag 7): a snapshot of the
-/// introducer's view with optional peer addresses.
-pub fn encode_introduce_message(from: u32, peers: &[IntroduceEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(introduce_message_len(peers));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(7);
-    buf.put_u32_le(from);
-    buf.put_u16_le(peers.len() as u16);
-    for entry in peers {
-        buf.put_u32_le(entry.node);
-        buf.put_u32_le(entry.timestamp);
-        match entry.addr {
-            None => buf.put_u8(0),
-            Some(SocketAddr::V4(a)) => {
-                buf.put_u8(4);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
+    w.put_u16_le(states.len() as u16);
+    for state in states {
+        match state {
+            InstanceState::Scalar(v) => {
+                w.put_u8(0);
+                w.put_f64_le(*v);
             }
-            Some(SocketAddr::V6(a)) => {
-                buf.put_u8(6);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
-        }
-    }
-    buf
-}
-
-/// Exact encoded size of [`encode_introduce_message`]'s output.
-pub fn introduce_message_len(peers: &[IntroduceEntry]) -> usize {
-    // version + tag + sender + entry count
-    let mut len = 1 + 1 + 4 + 2;
-    for entry in peers {
-        len += 4 + 4 + 1; // node + timestamp + addr kind
-        len += match entry.addr {
-            None => 0,
-            Some(SocketAddr::V4(_)) => 4 + 2,
-            Some(SocketAddr::V6(_)) => 16 + 2,
-        };
-    }
-    len
-}
-
-/// Encodes any membership-plane payload (tags 4–9).
-pub fn encode_directory_message(payload: &DirectoryPayload) -> Vec<u8> {
-    match payload {
-        DirectoryPayload::View { view, reply, delta } => encode_view_message(view, *reply, *delta),
-        DirectoryPayload::Join { from } => encode_join_message(*from),
-        DirectoryPayload::Introduce { from, peers } => encode_introduce_message(*from, peers),
-    }
-}
-
-/// Exact encoded size of [`encode_directory_message`]'s output.
-pub fn directory_encoded_len(payload: &DirectoryPayload) -> usize {
-    match payload {
-        DirectoryPayload::View { view, .. } => view_encoded_len(view),
-        DirectoryPayload::Join { .. } => join_message_len(),
-        DirectoryPayload::Introduce { peers, .. } => introduce_message_len(peers),
-    }
-}
-
-/// Decodes a membership-plane datagram (tags 4–9).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, or a tag
-/// outside the membership plane.
-pub fn decode_directory_message(data: &[u8]) -> Result<DirectoryPayload, DecodeError> {
-    if data.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    match data[1] {
-        6 | 7 => {
-            let mut data = data;
-            if data.remaining() < join_message_len() {
-                return Err(DecodeError::Truncated);
-            }
-            let version = data.get_u8();
-            if version != WIRE_VERSION {
-                return Err(DecodeError::BadVersion(version));
-            }
-            let tag = data.get_u8();
-            let from = data.get_u32_le();
-            if tag == 6 {
-                return Ok(DirectoryPayload::Join { from });
-            }
-            if data.remaining() < 2 {
-                return Err(DecodeError::Truncated);
-            }
-            let count = data.get_u16_le() as usize;
-            let mut peers = Vec::with_capacity(count.min(256));
-            for _ in 0..count {
-                if data.remaining() < 9 {
-                    return Err(DecodeError::Truncated);
+            InstanceState::Map(map) => {
+                w.put_u8(1);
+                w.put_u16_le(map.len() as u16);
+                for (leader, estimate) in map.iter() {
+                    w.put_u64_le(leader);
+                    w.put_f64_le(estimate);
                 }
-                let node = data.get_u32_le();
-                let timestamp = data.get_u32_le();
-                let addr = match data.get_u8() {
-                    0 => None,
-                    4 => {
-                        if data.remaining() < 6 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut octets = [0u8; 4];
-                        for b in &mut octets {
-                            *b = data.get_u8();
-                        }
-                        let port = data.get_u16_le();
-                        Some(SocketAddr::new(IpAddr::from(octets), port))
-                    }
-                    6 => {
-                        if data.remaining() < 18 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let mut octets = [0u8; 16];
-                        for b in &mut octets {
-                            *b = data.get_u8();
-                        }
-                        let port = data.get_u16_le();
-                        Some(SocketAddr::new(IpAddr::from(octets), port))
-                    }
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                peers.push(IntroduceEntry {
-                    node,
-                    timestamp,
-                    addr,
-                });
-            }
-            Ok(DirectoryPayload::Introduce { from, peers })
-        }
-        _ => {
-            // Tags 4/5/8/9, plus version/tag error reporting for the rest.
-            let (view, reply, delta) = decode_view_message(data)?;
-            Ok(DirectoryPayload::View { view, reply, delta })
-        }
-    }
-}
-
-/// Encodes an aggregation message with a piggybacked membership trailer
-/// (tag 10): a few descriptors (and optionally their addresses) riding on
-/// a datagram that was leaving the socket anyway.
-pub fn encode_piggyback_message(msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(piggyback_message_len(msg, piggyback));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(10);
-    buf.put_u32_le(piggyback.from);
-    buf.put_u8(piggyback.descriptors.len() as u8);
-    for d in &piggyback.descriptors {
-        buf.put_u32_le(d.node);
-        buf.put_u32_le(d.timestamp);
-    }
-    buf.put_u8(piggyback.addrs.len() as u8);
-    for &(node, addr) in &piggyback.addrs {
-        buf.put_u32_le(node);
-        match addr {
-            SocketAddr::V4(a) => {
-                buf.put_u8(4);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
-            }
-            SocketAddr::V6(a) => {
-                buf.put_u8(6);
-                buf.extend_from_slice(&a.ip().octets());
-                buf.put_u16_le(a.port());
             }
         }
     }
-    buf.extend_from_slice(&encode_message(msg));
-    buf
 }
 
-/// Decodes a datagram produced by [`encode_piggyback_message`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, or
-/// when the carried aggregation message fails to decode.
-pub fn decode_piggyback_message(mut data: &[u8]) -> Result<(Message, Piggyback), DecodeError> {
-    if data.remaining() < 8 {
-        return Err(DecodeError::Truncated);
+fn put_descriptors(w: &mut impl WireWrite, descriptors: &[Descriptor]) {
+    for d in descriptors {
+        w.put_u32_le(d.node);
+        w.put_u32_le(d.timestamp);
     }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 10 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = data.get_u32_le();
-    let ndesc = data.get_u8() as usize;
-    if data.remaining() < ndesc * 8 + 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut descriptors = Vec::with_capacity(ndesc);
-    for _ in 0..ndesc {
-        let node = data.get_u32_le();
-        let timestamp = data.get_u32_le();
-        descriptors.push(Descriptor::new(node, timestamp));
-    }
-    let naddr = data.get_u8() as usize;
-    let mut addrs = Vec::with_capacity(naddr);
-    for _ in 0..naddr {
-        if data.remaining() < 5 {
-            return Err(DecodeError::Truncated);
+}
+
+fn put_addr(w: &mut impl WireWrite, addr: SocketAddr) {
+    match addr {
+        SocketAddr::V4(a) => {
+            w.put_u8(4);
+            w.put_slice(&a.ip().octets());
         }
-        let node = data.get_u32_le();
-        let addr = match data.get_u8() {
-            4 => {
-                if data.remaining() < 6 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut octets = [0u8; 4];
-                for b in &mut octets {
-                    *b = data.get_u8();
-                }
-                let port = data.get_u16_le();
-                SocketAddr::new(IpAddr::from(octets), port)
-            }
-            6 => {
-                if data.remaining() < 18 {
-                    return Err(DecodeError::Truncated);
-                }
-                let mut octets = [0u8; 16];
-                for b in &mut octets {
-                    *b = data.get_u8();
-                }
-                let port = data.get_u16_le();
-                SocketAddr::new(IpAddr::from(octets), port)
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        addrs.push((node, addr));
+        SocketAddr::V6(a) => {
+            w.put_u8(6);
+            w.put_slice(&a.ip().octets());
+        }
     }
-    let message = decode_message(data)?;
-    Ok((
-        message,
-        Piggyback {
-            from,
-            descriptors,
-            addrs,
-        },
-    ))
+    w.put_u16_le(addr.port());
 }
 
-/// Exact encoded size of [`encode_piggyback_message`]'s output.
-pub fn piggyback_message_len(msg: &Message, piggyback: &Piggyback) -> usize {
-    piggyback_trailer_len(piggyback) + encoded_len(msg)
-}
-
-/// Wire bytes the membership trailer adds on top of the plain aggregation
-/// message — the share traffic accounting charges to the membership
-/// plane.
-pub fn piggyback_trailer_len(piggyback: &Piggyback) -> usize {
-    // version + tag + sender + descriptor count + descriptors + addr count
-    let mut len = 1 + 1 + 4 + 1 + 8 * piggyback.descriptors.len() + 1;
-    for &(_, addr) in &piggyback.addrs {
-        len += 4 + 1; // node + addr kind
-        len += match addr {
-            SocketAddr::V4(_) => 4 + 2,
-            SocketAddr::V6(_) => 16 + 2,
-        };
-    }
-    len
-}
-
-// ---------------------------------------------------------------------
-// Query plane (tags 11–14)
-// ---------------------------------------------------------------------
-
-fn put_name(buf: &mut Vec<u8>, name: &str) {
+fn put_name(w: &mut impl WireWrite, name: &str) {
     debug_assert!(name.len() <= MAX_NAME_LEN);
-    buf.put_u8(name.len() as u8);
-    buf.extend_from_slice(name.as_bytes());
+    w.put_u8(name.len() as u8);
+    w.put_slice(name.as_bytes());
 }
 
-fn get_name(data: &mut &[u8]) -> Result<String, DecodeError> {
-    if data.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = data.get_u8() as usize;
-    if data.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let (bytes, rest) = data.split_at(len);
-    let name = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadName)?;
-    *data = rest;
-    Ok(name.to_string())
-}
-
-fn put_descriptor(buf: &mut Vec<u8>, d: &QueryDescriptor) {
-    put_name(buf, &d.name);
-    buf.put_u8(kind_code(d.kind));
-    buf.put_u32_le(d.gamma);
-    buf.put_u64_le(d.cycle_length);
-    buf.put_u64_le(d.timeout);
-    buf.put_u64_le(d.ttl_ms);
-    buf.put_f64_le(d.default_value);
-    buf.put_u32_le(d.admission.rate_per_sec);
-    buf.put_u32_le(d.admission.burst);
-}
-
-fn get_descriptor(data: &mut &[u8]) -> Result<QueryDescriptor, DecodeError> {
-    let name = get_name(data)?;
-    if data.remaining() < 1 + 4 + 8 + 8 + 8 + 8 + 4 + 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let kind_byte = data.get_u8();
-    let kind = kind_from_code(kind_byte).ok_or(DecodeError::BadTag(kind_byte))?;
-    let mut descriptor = QueryDescriptor::new(name, kind);
-    descriptor.gamma = data.get_u32_le();
-    descriptor.cycle_length = data.get_u64_le();
-    descriptor.timeout = data.get_u64_le();
-    descriptor.ttl_ms = data.get_u64_le();
-    descriptor.default_value = data.get_f64_le();
-    let rate_per_sec = data.get_u32_le();
-    let burst = data.get_u32_le();
-    descriptor.admission = if rate_per_sec == 0 && burst == 0 {
-        AdmissionConfig::UNLIMITED
-    } else {
-        AdmissionConfig::limited(rate_per_sec, burst)
-    };
-    Ok(descriptor)
-}
-
-fn descriptor_len(d: &QueryDescriptor) -> usize {
-    // name len + name + kind + gamma + cycle + timeout + ttl + default
-    // + rate + burst
-    1 + d.name.len() + 1 + 4 + 8 + 8 + 8 + 8 + 4 + 4
-}
-
-/// Encodes a catalog gossip push (tag 11): the sender's full entry list,
-/// tombstones included.
-pub fn encode_catalog_message(from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(catalog_message_len(entries));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(11);
-    buf.put_u64_le(from.as_u64());
-    buf.put_u16_le(entries.len() as u16);
-    for entry in entries {
-        put_descriptor(&mut buf, &entry.descriptor);
-        buf.put_u32_le(entry.version);
-        buf.put_u8(u8::from(entry.deleted));
-        buf.put_u64_le(entry.installed_at);
-        buf.put_u64_le(entry.expires_at);
-    }
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_catalog_message`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, an
-/// unknown aggregate kind, or a malformed query name.
-pub fn decode_catalog_message(mut data: &[u8]) -> Result<(NodeId, Vec<CatalogEntry>), DecodeError> {
-    if data.remaining() < 12 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 11 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let from = NodeId::new(data.get_u64_le());
-    let count = data.get_u16_le() as usize;
-    let mut entries = Vec::with_capacity(count.min(256));
-    for _ in 0..count {
-        let descriptor = get_descriptor(&mut data)?;
-        if data.remaining() < 4 + 1 + 8 + 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let entry_version = data.get_u32_le();
-        let deleted = data.get_u8() != 0;
-        let installed_at = data.get_u64_le();
-        let expires_at = data.get_u64_le();
-        entries.push(CatalogEntry {
-            descriptor,
-            version: entry_version,
-            deleted,
-            installed_at,
-            expires_at,
-        });
-    }
-    Ok((from, entries))
-}
-
-/// Exact encoded size of [`encode_catalog_message`]'s output.
-pub fn catalog_message_len(entries: &[CatalogEntry]) -> usize {
-    // version + tag + sender + entry count
-    let mut len = 1 + 1 + 8 + 2;
-    for entry in entries {
-        // descriptor + version + deleted + installed_at + expires_at
-        len += descriptor_len(&entry.descriptor) + 4 + 1 + 8 + 8;
-    }
-    len
-}
-
-/// Encodes a query-plane aggregation frame (tag 12): the owning query's
-/// name followed by a complete aggregation message, so concurrent named
-/// queries multiplex over one socket without interfering.
-pub fn encode_query_message(query: &str, msg: &Message) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(query_message_len(query, msg));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(12);
-    put_name(&mut buf, query);
-    buf.extend_from_slice(&encode_message(msg));
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_query_message`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, a
-/// malformed query name, or when the carried message fails to decode.
-pub fn decode_query_message(mut data: &[u8]) -> Result<(String, Message), DecodeError> {
-    if data.remaining() < 3 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 12 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let query = get_name(&mut data)?;
-    let message = decode_message(data)?;
-    Ok((query, message))
-}
-
-/// Exact encoded size of [`encode_query_message`]'s output.
-pub fn query_message_len(query: &str, msg: &Message) -> usize {
-    // version + tag + name len + name + carried message
-    1 + 1 + 1 + query.len() + encoded_len(msg)
-}
-
-/// Encodes a client RPC request (tag 13).
-pub fn encode_rpc_request(request: &RpcRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(rpc_request_len(request));
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(13);
-    buf.put_u64_le(request.id());
-    buf.put_u8(request.op_code());
-    match request {
-        RpcRequest::Install { descriptor, .. } => put_descriptor(&mut buf, descriptor),
-        RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => put_name(&mut buf, name),
-        RpcRequest::Submit { name, value, .. } => {
-            put_name(&mut buf, name);
-            buf.put_f64_le(*value);
-        }
-    }
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_rpc_request`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version, tag, op,
-/// or aggregate kind, or a malformed query name.
-pub fn decode_rpc_request(mut data: &[u8]) -> Result<RpcRequest, DecodeError> {
-    if data.remaining() < 11 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 13 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let id = data.get_u64_le();
-    match data.get_u8() {
-        0 => Ok(RpcRequest::Install {
-            id,
-            descriptor: get_descriptor(&mut data)?,
-        }),
-        1 => Ok(RpcRequest::Remove {
-            id,
-            name: get_name(&mut data)?,
-        }),
-        2 => {
-            let name = get_name(&mut data)?;
-            if data.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(RpcRequest::Submit {
-                id,
-                name,
-                value: data.get_f64_le(),
-            })
-        }
-        3 => Ok(RpcRequest::Read {
-            id,
-            name: get_name(&mut data)?,
-        }),
-        op => Err(DecodeError::BadTag(op)),
-    }
-}
-
-/// Exact encoded size of [`encode_rpc_request`]'s output.
-pub fn rpc_request_len(request: &RpcRequest) -> usize {
-    // version + tag + request id + op
-    let header = 1 + 1 + 8 + 1;
-    header
-        + match request {
-            RpcRequest::Install { descriptor, .. } => descriptor_len(descriptor),
-            RpcRequest::Remove { name, .. } | RpcRequest::Read { name, .. } => 1 + name.len(),
-            RpcRequest::Submit { name, .. } => 1 + name.len() + 8,
-        }
-}
-
-/// Encodes a client RPC response (tag 14).
-pub fn encode_rpc_response(response: &RpcResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(rpc_response_len());
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u8(14);
-    buf.put_u64_le(response.id);
-    buf.put_u8(response.status as u8);
-    buf.put_f64_le(response.estimate);
-    buf.put_u64_le(response.epoch);
-    buf
-}
-
-/// Decodes a datagram produced by [`encode_rpc_response`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncation, an unknown version or tag, or
-/// an unknown status code.
-pub fn decode_rpc_response(mut data: &[u8]) -> Result<RpcResponse, DecodeError> {
-    if data.remaining() < rpc_response_len() {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let tag = data.get_u8();
-    if tag != 14 {
-        return Err(DecodeError::BadTag(tag));
-    }
-    let id = data.get_u64_le();
-    let status_byte = data.get_u8();
-    let status = RpcStatus::from_code(status_byte).ok_or(DecodeError::BadTag(status_byte))?;
-    let estimate = data.get_f64_le();
-    let epoch = data.get_u64_le();
-    Ok(RpcResponse {
-        id,
-        status,
-        estimate,
-        epoch,
-    })
-}
-
-/// Exact encoded size of [`encode_rpc_response`]'s output (responses are
-/// fixed-size).
-pub const fn rpc_response_len() -> usize {
-    1 + 1 + 8 + 1 + 8 + 8 // version + tag + id + status + estimate + epoch
-}
-
-/// Wraps an encoded catalog gossip push in a mux routing frame addressed
-/// to the virtual node `to`.
-pub fn encode_mux_catalog_frame(to: NodeId, from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_catalog_message(from, entries),
-        mux_catalog_frame_len(entries),
-    )
-}
-
-/// Exact encoded size of [`encode_mux_catalog_frame`]'s output.
-pub fn mux_catalog_frame_len(entries: &[CatalogEntry]) -> usize {
-    1 + 8 + catalog_message_len(entries)
-}
-
-/// Wraps an encoded query aggregation frame in a mux routing frame
-/// addressed to the virtual node `to`.
-pub fn encode_mux_query_frame(to: NodeId, query: &str, msg: &Message) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_query_message(query, msg),
-        mux_query_frame_len(query, msg),
-    )
-}
-
-/// Exact encoded size of [`encode_mux_query_frame`]'s output.
-pub fn mux_query_frame_len(query: &str, msg: &Message) -> usize {
-    1 + 8 + query_message_len(query, msg)
+fn put_descriptor(w: &mut impl WireWrite, d: &QueryDescriptor) {
+    put_name(w, &d.name);
+    w.put_u8(kind_code(d.kind));
+    w.put_u32_le(d.gamma);
+    w.put_u64_le(d.cycle_length);
+    w.put_u64_le(d.timeout);
+    w.put_u64_le(d.ttl_ms);
+    w.put_f64_le(d.default_value);
+    w.put_u32_le(d.admission.rate_per_sec);
+    w.put_u32_le(d.admission.burst);
 }
 
 /// Any decodable datagram body: an aggregation-plane [`Message`]
@@ -1037,146 +445,390 @@ pub enum WirePayload {
     RpcReply(RpcResponse),
 }
 
-/// Decodes any datagram, routing by plane (tags 0–3 vs 4–9 vs 10 vs
-/// 11–14).
+impl WirePayload {
+    /// The [`Frame`] that encodes back to this payload's bytes.
+    pub fn as_frame(&self) -> Frame<'_> {
+        match self {
+            WirePayload::Aggregation(message) => Frame::Aggregation(message),
+            WirePayload::Directory(payload) => Frame::Directory(payload),
+            WirePayload::Piggybacked(message, piggyback) => Frame::Piggybacked(message, piggyback),
+            WirePayload::Catalog { from, entries } => Frame::Catalog {
+                from: *from,
+                entries,
+            },
+            WirePayload::Query { query, message } => Frame::Query { query, message },
+            WirePayload::Rpc(request) => Frame::Rpc(request),
+            WirePayload::RpcReply(response) => Frame::RpcReply(response),
+        }
+    }
+}
+
+/// Bounds-checked little-endian reads that advance through a datagram;
+/// running out of bytes is [`DecodeError::Truncated`], never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.0.len() < n {
+            return Err(DecodeError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.bytes(N)?.try_into().expect("length checked"))
+    }
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+    fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.array().map(f64::from_le_bytes)
+    }
+    /// An f64 bound for protocol state: NaN and ±∞ are rejected here, at
+    /// the one place untrusted floats enter.
+    fn finite_f64(&mut self) -> Result<f64, DecodeError> {
+        let v = self.f64()?;
+        v.is_finite().then_some(v).ok_or(DecodeError::NonFinite)
+    }
+    /// Capacity for `count` wire entries of at least `entry_bytes` each,
+    /// capped by what the datagram can still hold, so a lying count
+    /// cannot force a large allocation.
+    fn capacity(&self, count: usize, entry_bytes: usize) -> usize {
+        count.min(self.0.len() / entry_bytes)
+    }
+    fn version(&mut self, expected: u8) -> Result<(), DecodeError> {
+        match self.u8()? {
+            v if v == expected => Ok(()),
+            v => Err(DecodeError::BadVersion(v)),
+        }
+    }
+}
+
+/// Decodes any datagram, dispatching on its tag. This is the only tag
+/// dispatcher; the per-body readers below are private to it.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the datagram is truncated, has an unknown
-/// version, or carries an unknown tag.
+/// version, carries an unknown tag or a malformed name, or carries a
+/// non-finite value bound for protocol state.
 pub fn decode_datagram(data: &[u8]) -> Result<WirePayload, DecodeError> {
-    if data.len() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    if data[0] != WIRE_VERSION {
-        return Err(DecodeError::BadVersion(data[0]));
-    }
-    match data[1] {
-        0..=3 => Ok(WirePayload::Aggregation(decode_message(data)?)),
-        4..=9 => Ok(WirePayload::Directory(decode_directory_message(data)?)),
+    let r = &mut Reader(data);
+    r.version(WIRE_VERSION)?;
+    let tag = r.u8()?;
+    Ok(match tag {
+        0..=3 => WirePayload::Aggregation(get_message_body(r, tag)?),
+        4 | 5 | 8 | 9 => {
+            let from = r.u32()?;
+            let count = usize::from(r.u16()?);
+            let descriptors = get_descriptors(r, count)?;
+            WirePayload::Directory(DirectoryPayload::View {
+                view: ViewPayload { from, descriptors },
+                reply: tag == 5 || tag == 9,
+                delta: tag >= 8,
+            })
+        }
+        6 => WirePayload::Directory(DirectoryPayload::Join { from: r.u32()? }),
+        7 => {
+            let from = r.u32()?;
+            let count = usize::from(r.u16()?);
+            let mut peers = Vec::with_capacity(r.capacity(count, 9));
+            for _ in 0..count {
+                let node = r.u32()?;
+                let timestamp = r.u32()?;
+                let addr = match r.u8()? {
+                    0 => None,
+                    kind => Some(get_addr(r, kind)?),
+                };
+                peers.push(IntroduceEntry {
+                    node,
+                    timestamp,
+                    addr,
+                });
+            }
+            WirePayload::Directory(DirectoryPayload::Introduce { from, peers })
+        }
         10 => {
-            let (message, piggyback) = decode_piggyback_message(data)?;
-            Ok(WirePayload::Piggybacked(message, piggyback))
+            let from = r.u32()?;
+            let count = usize::from(r.u8()?);
+            let descriptors = get_descriptors(r, count)?;
+            let count = usize::from(r.u8()?);
+            let mut addrs = Vec::with_capacity(r.capacity(count, 11));
+            for _ in 0..count {
+                let node = r.u32()?;
+                let kind = r.u8()?;
+                addrs.push((node, get_addr(r, kind)?));
+            }
+            let piggyback = Piggyback {
+                from,
+                descriptors,
+                addrs,
+            };
+            WirePayload::Piggybacked(get_message(r)?, piggyback)
         }
         11 => {
-            let (from, entries) = decode_catalog_message(data)?;
-            Ok(WirePayload::Catalog { from, entries })
+            let from = NodeId::new(r.u64()?);
+            let count = usize::from(r.u16()?);
+            let mut entries = Vec::with_capacity(r.capacity(count, 67));
+            for _ in 0..count {
+                entries.push(CatalogEntry {
+                    descriptor: get_descriptor(r)?,
+                    version: r.u32()?,
+                    deleted: r.u8()? != 0,
+                    installed_at: r.u64()?,
+                    expires_at: r.u64()?,
+                });
+            }
+            WirePayload::Catalog { from, entries }
         }
         12 => {
-            let (query, message) = decode_query_message(data)?;
-            Ok(WirePayload::Query { query, message })
+            let query = get_name(r)?;
+            WirePayload::Query {
+                query,
+                message: get_message(r)?,
+            }
         }
-        13 => Ok(WirePayload::Rpc(decode_rpc_request(data)?)),
-        14 => Ok(WirePayload::RpcReply(decode_rpc_response(data)?)),
+        13 => {
+            let id = r.u64()?;
+            WirePayload::Rpc(match r.u8()? {
+                0 => RpcRequest::Install {
+                    id,
+                    descriptor: get_descriptor(r)?,
+                },
+                1 => RpcRequest::Remove {
+                    id,
+                    name: get_name(r)?,
+                },
+                2 => RpcRequest::Submit {
+                    id,
+                    name: get_name(r)?,
+                    value: r.f64()?,
+                },
+                3 => RpcRequest::Read {
+                    id,
+                    name: get_name(r)?,
+                },
+                op => return Err(DecodeError::BadTag(op)),
+            })
+        }
+        14 => {
+            let id = r.u64()?;
+            let code = r.u8()?;
+            // Estimates travel to clients, never into protocol state, so
+            // they are passed through as sent.
+            WirePayload::RpcReply(RpcResponse {
+                id,
+                status: RpcStatus::from_code(code).ok_or(DecodeError::BadTag(code))?,
+                estimate: r.f64()?,
+                epoch: r.u64()?,
+            })
+        }
+        t => return Err(DecodeError::BadTag(t)),
+    })
+}
+
+/// A nested aggregation message (tags 10 and 12 carry one whole).
+fn get_message(r: &mut Reader<'_>) -> Result<Message, DecodeError> {
+    r.version(WIRE_VERSION)?;
+    match r.u8()? {
+        tag @ 0..=3 => get_message_body(r, tag),
         t => Err(DecodeError::BadTag(t)),
     }
 }
 
-/// Wraps an encoded v1 message in a mux routing frame addressed to the
-/// virtual node `to`. The receiving process reads the prefix, routes the
-/// remainder to `to`'s state machine, and decodes it with
-/// [`decode_message`].
-pub fn encode_mux_frame(to: NodeId, msg: &Message) -> Vec<u8> {
-    mux_wrap(to, &encode_message(msg), mux_frame_len(msg))
+fn get_message_body(r: &mut Reader<'_>, tag: u8) -> Result<Message, DecodeError> {
+    let from = NodeId::new(r.u64()?);
+    let epoch = r.u64()?;
+    let body = match tag {
+        2 => MessageBody::EpochNotice,
+        3 => MessageBody::Refuse,
+        _ => {
+            let count = usize::from(r.u16()?);
+            let mut states = Vec::with_capacity(r.capacity(count, 3));
+            for _ in 0..count {
+                states.push(match r.u8()? {
+                    0 => InstanceState::Scalar(r.finite_f64()?),
+                    1 => InstanceState::Map(get_map(r)?),
+                    t => return Err(DecodeError::BadTag(t)),
+                });
+            }
+            if tag == 0 {
+                MessageBody::Request(states)
+            } else {
+                MessageBody::Reply(states)
+            }
+        }
+    };
+    Ok(Message { from, epoch, body })
 }
 
-/// Wraps an encoded membership payload in a mux routing frame addressed
-/// to the virtual node `to` (the membership twin of
-/// [`encode_mux_frame`]).
-pub fn encode_mux_directory_frame(to: NodeId, payload: &DirectoryPayload) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_directory_message(payload),
-        mux_directory_frame_len(payload),
-    )
+fn get_map(r: &mut Reader<'_>) -> Result<InstanceMap, DecodeError> {
+    let count = usize::from(r.u16()?);
+    let mut pairs: Vec<(u64, f64)> = Vec::with_capacity(r.capacity(count, 16));
+    for _ in 0..count {
+        let leader = r.u64()?;
+        if pairs.last().is_some_and(|&(prev, _)| prev >= leader) {
+            return Err(DecodeError::UnsortedMap);
+        }
+        pairs.push((leader, r.finite_f64()?));
+    }
+    Ok(InstanceMap::from_entries(pairs))
 }
 
-/// Exact encoded size of [`encode_mux_directory_frame`]'s output.
-pub fn mux_directory_frame_len(payload: &DirectoryPayload) -> usize {
-    1 + 8 + directory_encoded_len(payload)
+fn get_descriptors(r: &mut Reader<'_>, count: usize) -> Result<Vec<Descriptor>, DecodeError> {
+    let mut descriptors = Vec::with_capacity(r.capacity(count, 8));
+    for _ in 0..count {
+        let node = r.u32()?;
+        descriptors.push(Descriptor::new(node, r.u32()?));
+    }
+    Ok(descriptors)
 }
 
-/// Wraps a piggybacked aggregation message (tag 10) in a mux routing
-/// frame addressed to the virtual node `to`.
-pub fn encode_mux_piggyback_frame(to: NodeId, msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
-    mux_wrap(
-        to,
-        &encode_piggyback_message(msg, piggyback),
-        mux_piggyback_frame_len(msg, piggyback),
-    )
+fn get_addr(r: &mut Reader<'_>, kind: u8) -> Result<SocketAddr, DecodeError> {
+    let ip = match kind {
+        4 => IpAddr::from(r.array::<4>()?),
+        6 => IpAddr::from(r.array::<16>()?),
+        t => return Err(DecodeError::BadTag(t)),
+    };
+    Ok(SocketAddr::new(ip, r.u16()?))
 }
 
-/// Exact encoded size of [`encode_mux_piggyback_frame`]'s output.
-pub fn mux_piggyback_frame_len(msg: &Message, piggyback: &Piggyback) -> usize {
-    1 + 8 + piggyback_message_len(msg, piggyback)
+fn get_name(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let len = usize::from(r.u8()?);
+    let bytes = r.bytes(len)?;
+    let name = std::str::from_utf8(bytes).map_err(|_| DecodeError::BadName)?;
+    Ok(name.to_string())
 }
 
-fn mux_wrap(to: NodeId, body: &[u8], capacity: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(capacity);
-    buf.put_u8(MUX_WIRE_VERSION);
-    buf.put_u64_le(to.as_u64());
-    buf.extend_from_slice(body);
-    buf
+fn get_descriptor(r: &mut Reader<'_>) -> Result<QueryDescriptor, DecodeError> {
+    let name = get_name(r)?;
+    let code = r.u8()?;
+    let kind = kind_from_code(code).ok_or(DecodeError::BadTag(code))?;
+    let mut descriptor = QueryDescriptor::new(name, kind);
+    descriptor.gamma = r.u32()?;
+    descriptor.cycle_length = r.u64()?;
+    descriptor.timeout = r.u64()?;
+    descriptor.ttl_ms = r.u64()?;
+    descriptor.default_value = r.finite_f64()?;
+    let rate_per_sec = r.u32()?;
+    let burst = r.u32()?;
+    descriptor.admission = if rate_per_sec == 0 && burst == 0 {
+        AdmissionConfig::UNLIMITED
+    } else {
+        AdmissionConfig::limited(rate_per_sec, burst)
+    };
+    Ok(descriptor)
 }
 
 /// Decodes a mux-framed datagram into the destination virtual-node id
-/// and the carried payload, whichever plane it belongs to.
+/// and the carried payload, whichever plane it belongs to. This is the
+/// only mux-prefix unwrapper.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the routing prefix is truncated or has
 /// the wrong version, or if the carried payload fails to decode.
-pub fn decode_mux_datagram(mut data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
-    if data.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let version = data.get_u8();
-    if version != MUX_WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let to = NodeId::new(data.get_u64_le());
-    let payload = decode_datagram(data)?;
-    Ok((to, payload))
+pub fn decode_mux_datagram(data: &[u8]) -> Result<(NodeId, WirePayload), DecodeError> {
+    let r = &mut Reader(data);
+    r.version(MUX_WIRE_VERSION)?;
+    let to = NodeId::new(r.u64()?);
+    Ok((to, decode_datagram(r.0)?))
 }
 
-/// Decodes a datagram produced by [`encode_mux_frame`] into the
-/// destination virtual-node id and the carried message.
+/// Decodes a client RPC response (tag 14).
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the routing prefix is truncated or has the
-/// wrong version, or if the carried message fails to decode.
-pub fn decode_mux_frame(mut data: &[u8]) -> Result<(NodeId, Message), DecodeError> {
-    if data.remaining() < 9 {
-        return Err(DecodeError::Truncated);
+/// As [`decode_datagram`], plus [`DecodeError::BadTag`] for any other
+/// well-formed frame.
+pub fn decode_rpc_response(data: &[u8]) -> Result<RpcResponse, DecodeError> {
+    match decode_datagram(data)? {
+        WirePayload::RpcReply(response) => Ok(response),
+        _ => Err(DecodeError::BadTag(data[1])),
     }
-    let version = data.get_u8();
-    if version != MUX_WIRE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    let to = NodeId::new(data.get_u64_le());
-    let msg = decode_message(data)?;
-    Ok((to, msg))
 }
 
-/// Exact encoded size of [`encode_mux_frame`]'s output for `msg`.
-pub fn mux_frame_len(msg: &Message) -> usize {
-    1 + 8 + encoded_len(msg)
+/// [`Frame::Aggregation`] behind a mux prefix addressed to `to`.
+pub fn encode_mux_frame(to: NodeId, msg: &Message) -> Vec<u8> {
+    Frame::Aggregation(msg).encode_mux(to)
+}
+
+/// [`Frame::Piggybacked`] behind a mux prefix addressed to `to`.
+pub fn encode_mux_piggyback_frame(to: NodeId, msg: &Message, piggyback: &Piggyback) -> Vec<u8> {
+    Frame::Piggybacked(msg, piggyback).encode_mux(to)
+}
+
+/// [`Frame::Directory`] behind a mux prefix addressed to `to`.
+pub fn encode_mux_directory_frame(to: NodeId, payload: &DirectoryPayload) -> Vec<u8> {
+    Frame::Directory(payload).encode_mux(to)
+}
+
+/// [`Frame::Query`] behind a mux prefix addressed to `to`.
+pub fn encode_mux_query_frame(to: NodeId, query: &str, msg: &Message) -> Vec<u8> {
+    Frame::Query {
+        query,
+        message: msg,
+    }
+    .encode_mux(to)
+}
+
+/// [`Frame::Catalog`] behind a mux prefix addressed to `to`.
+pub fn encode_mux_catalog_frame(to: NodeId, from: NodeId, entries: &[CatalogEntry]) -> Vec<u8> {
+    Frame::Catalog { from, entries }.encode_mux(to)
+}
+
+/// [`Frame::Rpc`], unprefixed: clients talk to the RPC listener directly.
+pub fn encode_rpc_request(request: &RpcRequest) -> Vec<u8> {
+    Frame::Rpc(request).encode()
+}
+
+/// [`Frame::RpcReply`], unprefixed.
+pub fn encode_rpc_response(response: &RpcResponse) -> Vec<u8> {
+    Frame::RpcReply(response).encode()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epidemic_aggregation::AggregateKind;
 
-    fn round_trip(msg: &Message) {
-        let encoded = encode_message(msg);
-        let decoded = decode_message(&encoded).expect("decode");
-        assert_eq!(&decoded, msg);
+    /// Encodes `frame`, checks its size and that it decodes back to
+    /// itself, and returns the bytes.
+    fn round_trip(frame: Frame<'_>) -> Vec<u8> {
+        let encoded = frame.encode();
+        assert_eq!(encoded.len(), frame.encoded_len(), "{frame:?}");
+        assert_eq!(decode_datagram(&encoded).expect("decode").as_frame(), frame);
+        encoded
+    }
+
+    fn agg(msg: &Message) -> Vec<u8> {
+        round_trip(Frame::Aggregation(msg))
+    }
+
+    fn sample_request() -> Message {
+        Message::request(
+            NodeId::new(7),
+            42,
+            vec![
+                InstanceState::Scalar(1.0),
+                InstanceState::Map(InstanceMap::from_entries([(1, 0.5)])),
+            ],
+        )
     }
 
     #[test]
     fn round_trip_scalar_request() {
-        round_trip(&Message::request(
+        agg(&Message::request(
             NodeId::new(7),
             42,
             vec![InstanceState::Scalar(3.25), InstanceState::Scalar(-1.5)],
@@ -1186,7 +838,7 @@ mod tests {
     #[test]
     fn round_trip_map_reply() {
         let map = InstanceMap::from_entries([(3, 0.125), (900, 1.0), (u64::MAX, 1e-30)]);
-        round_trip(&Message::reply(
+        agg(&Message::reply(
             NodeId::new(u64::MAX),
             u64::MAX,
             vec![InstanceState::Map(map), InstanceState::Scalar(0.0)],
@@ -1195,14 +847,14 @@ mod tests {
 
     #[test]
     fn round_trip_control_messages() {
-        round_trip(&Message::epoch_notice(NodeId::new(0), 0));
-        round_trip(&Message::refuse(NodeId::new(1), 9));
+        agg(&Message::epoch_notice(NodeId::new(0), 0));
+        agg(&Message::refuse(NodeId::new(1), 9));
     }
 
     #[test]
     fn round_trip_empty_states_and_map() {
-        round_trip(&Message::request(NodeId::new(2), 1, vec![]));
-        round_trip(&Message::request(
+        agg(&Message::request(NodeId::new(2), 1, vec![]));
+        agg(&Message::request(
             NodeId::new(2),
             1,
             vec![InstanceState::Map(InstanceMap::new())],
@@ -1211,55 +863,123 @@ mod tests {
 
     #[test]
     fn round_trip_special_floats() {
-        round_trip(&Message::request(
+        // Extreme finite values survive the wire bit for bit…
+        agg(&Message::request(
             NodeId::new(3),
             2,
             vec![
                 InstanceState::Scalar(f64::MAX),
                 InstanceState::Scalar(f64::MIN_POSITIVE),
-                InstanceState::Scalar(f64::INFINITY),
+                InstanceState::Map(InstanceMap::from_entries([(1, -f64::MAX)])),
             ],
         ));
+        // …but NaN and ±∞ never become protocol state, whether they sit in
+        // a scalar or in an instance-map estimate.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for state in [
+                InstanceState::Scalar(bad),
+                InstanceState::Map(InstanceMap::from_entries([(1, 0.5), (2, bad)])),
+            ] {
+                let msg = Message::request(NodeId::new(3), 2, vec![state]);
+                let encoded = Frame::Aggregation(&msg).encode();
+                assert_eq!(decode_datagram(&encoded), Err(DecodeError::NonFinite));
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_query_plane_values_are_rejected() {
+        let install = RpcRequest::Install {
+            id: 2,
+            descriptor: sample_descriptor("q").with_default_value(f64::INFINITY),
+        };
+        assert_eq!(
+            decode_datagram(&encode_rpc_request(&install)),
+            Err(DecodeError::NonFinite)
+        );
+        let catalog = [CatalogEntry {
+            descriptor: sample_descriptor("q").with_default_value(f64::NAN),
+            version: 1,
+            deleted: false,
+            installed_at: 0,
+            expires_at: 0,
+        }];
+        let gossip = Frame::Catalog {
+            from: NodeId::new(1),
+            entries: &catalog,
+        };
+        assert_eq!(
+            decode_datagram(&gossip.encode()),
+            Err(DecodeError::NonFinite)
+        );
+        // A submitted NaN reaches the query plane, which answers it
+        // `BadRequest`; client-side response estimates pass through too.
+        let submit = RpcRequest::Submit {
+            id: 1,
+            name: "q".into(),
+            value: f64::NAN,
+        };
+        let Ok(WirePayload::Rpc(RpcRequest::Submit { value, .. })) =
+            decode_datagram(&encode_rpc_request(&submit))
+        else {
+            panic!("submit did not decode");
+        };
+        assert!(value.is_nan());
+        let reply = RpcResponse {
+            id: 3,
+            status: RpcStatus::Ok,
+            estimate: f64::INFINITY,
+            epoch: 1,
+        };
+        let decoded = decode_rpc_response(&encode_rpc_response(&reply)).unwrap();
+        assert_eq!(decoded.estimate, f64::INFINITY);
     }
 
     #[test]
     fn decode_rejects_truncation_everywhere() {
-        let msg = Message::request(
-            NodeId::new(7),
-            42,
-            vec![
-                InstanceState::Scalar(1.0),
-                InstanceState::Map(InstanceMap::from_entries([(1, 0.5)])),
-            ],
-        );
-        let encoded = encode_message(&msg);
+        let encoded = agg(&sample_request());
         for len in 0..encoded.len() {
-            let err = decode_message(&encoded[..len]).unwrap_err();
+            let err = decode_datagram(&encoded[..len]).unwrap_err();
             assert_eq!(err, DecodeError::Truncated, "prefix of length {len}");
         }
-        assert!(decode_message(&encoded).is_ok());
     }
 
     #[test]
     fn decode_rejects_bad_version() {
-        let mut encoded = encode_message(&Message::refuse(NodeId::new(1), 0));
+        let mut encoded = agg(&Message::refuse(NodeId::new(1), 0));
         encoded[0] = 99;
-        assert_eq!(decode_message(&encoded), Err(DecodeError::BadVersion(99)));
+        assert_eq!(decode_datagram(&encoded), Err(DecodeError::BadVersion(99)));
     }
 
     #[test]
     fn decode_rejects_bad_tags() {
-        let mut encoded = encode_message(&Message::refuse(NodeId::new(1), 0));
-        encoded[1] = 9;
-        assert_eq!(decode_message(&encoded), Err(DecodeError::BadTag(9)));
+        let mut encoded = agg(&Message::refuse(NodeId::new(1), 0));
+        encoded[1] = 99;
+        assert_eq!(decode_datagram(&encoded), Err(DecodeError::BadTag(99)));
 
-        let mut encoded = encode_message(&Message::request(
+        let mut encoded = agg(&Message::request(
             NodeId::new(1),
             0,
             vec![InstanceState::Scalar(1.0)],
         ));
         encoded[20] = 7; // the state tag
-        assert_eq!(decode_message(&encoded), Err(DecodeError::BadTag(7)));
+        assert_eq!(decode_datagram(&encoded), Err(DecodeError::BadTag(7)));
+    }
+
+    #[test]
+    fn decode_rejects_unsorted_instance_maps() {
+        // Leaders 1 then 1 again: a map the encoder can never produce.
+        let mut encoded = agg(&Message::request(
+            NodeId::new(1),
+            0,
+            vec![InstanceState::Map(InstanceMap::from_entries([
+                (1, 0.5),
+                (2, 0.5),
+            ]))],
+        ));
+        // header 18 + count 2 + state tag 1 + map len 2 + first pair 16.
+        encoded[39] = 1;
+        assert_eq!(decode_datagram(&encoded), Err(DecodeError::UnsortedMap));
     }
 
     #[test]
@@ -1268,244 +988,71 @@ mod tests {
         // bytes" for 20 instances); verify the format's arithmetic.
         let map = InstanceMap::from_entries((0..20u64).map(|l| (l, 1.0 / 20.0)));
         let msg = Message::request(NodeId::new(1), 5, vec![InstanceState::Map(map)]);
-        let encoded = encode_message(&msg);
-        assert!(encoded.len() < 350, "encoded size {}", encoded.len());
-    }
-
-    #[test]
-    fn encoded_len_matches_encoding() {
-        let map = InstanceMap::from_entries([(3, 0.125), (900, 1.0)]);
-        for msg in [
-            Message::request(
-                NodeId::new(7),
-                42,
-                vec![InstanceState::Scalar(3.25), InstanceState::Map(map)],
-            ),
-            Message::reply(NodeId::new(1), 0, vec![]),
-            Message::epoch_notice(NodeId::new(0), 0),
-            Message::refuse(NodeId::new(1), 9),
-        ] {
-            assert_eq!(
-                encoded_len(&msg),
-                encode_message(&msg).len(),
-                "size mismatch for {msg:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn round_trip_view_messages() {
-        for delta in [false, true] {
-            for reply in [false, true] {
-                let payload = ViewPayload {
-                    from: 0xDEAD_BEEF,
-                    descriptors: vec![Descriptor::new(1, 9), Descriptor::new(u32::MAX, 0)],
-                };
-                let encoded = encode_view_message(&payload, reply, delta);
-                assert_eq!(encoded.len(), view_encoded_len(&payload));
-                let (decoded, was_reply, was_delta) =
-                    decode_view_message(&encoded).expect("decode");
-                assert_eq!(decoded, payload);
-                assert_eq!(was_reply, reply);
-                assert_eq!(was_delta, delta);
-            }
-        }
+        assert!(agg(&msg).len() < 350);
     }
 
     #[test]
     fn delta_and_full_views_use_distinct_tags() {
-        let payload = ViewPayload {
+        let view = ViewPayload {
             from: 1,
             descriptors: vec![Descriptor::new(2, 3)],
         };
-        assert_eq!(encode_view_message(&payload, false, false)[1], 4);
-        assert_eq!(encode_view_message(&payload, true, false)[1], 5);
-        assert_eq!(encode_view_message(&payload, false, true)[1], 8);
-        assert_eq!(encode_view_message(&payload, true, true)[1], 9);
-        // Same body layout: only the tag byte differs.
-        let full = encode_view_message(&payload, false, false);
-        let delta = encode_view_message(&payload, false, true);
-        assert_eq!(full[2..], delta[2..]);
-    }
-
-    #[test]
-    fn view_decode_rejects_truncation_and_foreign_tags() {
-        let payload = ViewPayload {
-            from: 3,
-            descriptors: vec![Descriptor::new(4, 5), Descriptor::new(6, 7)],
+        let encode = |reply, delta| {
+            round_trip(Frame::Directory(&DirectoryPayload::View {
+                view: view.clone(),
+                reply,
+                delta,
+            }))
         };
-        for delta in [false, true] {
-            let encoded = encode_view_message(&payload, false, delta);
-            for len in 0..encoded.len() {
-                assert_eq!(
-                    decode_view_message(&encoded[..len]),
-                    Err(DecodeError::Truncated),
-                    "prefix of length {len} (delta={delta})"
-                );
-            }
-            assert_eq!(
-                decode_message(&encoded),
-                Err(DecodeError::BadTag(if delta { 8 } else { 4 }))
-            );
-        }
-        // An aggregation message is not a view message and vice versa.
-        let agg = encode_message(&Message::refuse(NodeId::new(1), 0));
-        assert_eq!(decode_view_message(&agg), Err(DecodeError::BadTag(3)));
-    }
-
-    #[test]
-    fn round_trip_mux_frame() {
-        let msg = Message::request(NodeId::new(77), 3, vec![InstanceState::Scalar(1.5)]);
-        let frame = encode_mux_frame(NodeId::new(1023), &msg);
-        assert_eq!(frame.len(), mux_frame_len(&msg));
-        let (to, decoded) = decode_mux_frame(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(1023));
-        assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn mux_frame_rejects_plain_messages_and_truncation() {
-        let msg = Message::refuse(NodeId::new(1), 0);
-        // A v1 datagram hitting a mux socket must not decode.
+        assert_eq!(encode(false, false)[1], 4);
+        assert_eq!(encode(true, false)[1], 5);
+        assert_eq!(encode(false, true)[1], 8);
+        assert_eq!(encode(true, true)[1], 9);
+        // Same body layout: only the tag byte differs.
+        assert_eq!(encode(false, false)[2..], encode(false, true)[2..]);
+        // A c=30 view exchange: each side ships 31 descriptors.
+        let full = DirectoryPayload::View {
+            view: ViewPayload {
+                from: 0,
+                descriptors: (0..31).map(|i| Descriptor::new(i, i)).collect(),
+            },
+            reply: false,
+            delta: false,
+        };
         assert_eq!(
-            decode_mux_frame(&encode_message(&msg)),
-            Err(DecodeError::BadVersion(WIRE_VERSION))
+            Frame::Directory(&full).encoded_len(),
+            1 + 1 + 4 + 2 + 31 * 8
         );
-        let frame = encode_mux_frame(NodeId::new(5), &msg);
+    }
+
+    #[test]
+    fn mux_frames_route_and_reject_plain_datagrams() {
+        let msg = Message::refuse(NodeId::new(1), 0);
+        let frame = encode_mux_frame(NodeId::new(1023), &msg);
+        assert_eq!(
+            decode_mux_datagram(&frame),
+            Ok((NodeId::new(1023), WirePayload::Aggregation(msg.clone())))
+        );
         for len in 0..frame.len() {
             assert_eq!(
-                decode_mux_frame(&frame[..len]),
+                decode_mux_datagram(&frame[..len]),
                 Err(DecodeError::Truncated),
                 "prefix of length {len}"
             );
         }
-    }
-
-    #[test]
-    fn view_exchange_size_arithmetic() {
-        // A c=30 view exchange: each side ships 31 descriptors.
-        assert_eq!(view_message_len(31), 1 + 1 + 4 + 2 + 31 * 8);
-        let payload = ViewPayload {
-            from: 0,
-            descriptors: (0..31).map(|i| Descriptor::new(i, i)).collect(),
-        };
-        assert_eq!(view_encoded_len(&payload), view_message_len(31));
-    }
-
-    #[test]
-    fn round_trip_join_and_introduce() {
-        let join = DirectoryPayload::Join { from: 0xBEEF };
-        let encoded = encode_directory_message(&join);
-        assert_eq!(encoded.len(), directory_encoded_len(&join));
-        assert_eq!(decode_directory_message(&encoded), Ok(join));
-
-        let intro = DirectoryPayload::Introduce {
-            from: 7,
-            peers: vec![
-                IntroduceEntry {
-                    node: 1,
-                    timestamp: 99,
-                    addr: None,
-                },
-                IntroduceEntry {
-                    node: 2,
-                    timestamp: 0,
-                    addr: Some("127.0.0.1:4040".parse().unwrap()),
-                },
-                IntroduceEntry {
-                    node: u32::MAX,
-                    timestamp: u32::MAX,
-                    addr: Some("[2001:db8::1]:65535".parse().unwrap()),
-                },
-            ],
-        };
-        let encoded = encode_directory_message(&intro);
-        assert_eq!(encoded.len(), directory_encoded_len(&intro));
-        assert_eq!(decode_directory_message(&encoded), Ok(intro));
-    }
-
-    #[test]
-    fn join_and_introduce_reject_truncation() {
-        let intro = DirectoryPayload::Introduce {
-            from: 3,
-            peers: vec![
-                IntroduceEntry {
-                    node: 1,
-                    timestamp: 2,
-                    addr: Some("10.0.0.1:9".parse().unwrap()),
-                },
-                IntroduceEntry {
-                    node: 4,
-                    timestamp: 5,
-                    addr: None,
-                },
-            ],
-        };
-        let encoded = encode_directory_message(&intro);
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_directory_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
-        let join = encode_join_message(9);
-        for len in 0..join.len() {
-            assert_eq!(
-                decode_directory_message(&join[..len]),
-                Err(DecodeError::Truncated)
-            );
-        }
-    }
-
-    #[test]
-    fn decode_datagram_routes_both_planes() {
-        let agg = Message::request(NodeId::new(1), 2, vec![InstanceState::Scalar(0.5)]);
+        // A plain datagram hitting a mux socket must not decode, nor the
+        // reverse.
         assert_eq!(
-            decode_datagram(&encode_message(&agg)),
-            Ok(WirePayload::Aggregation(agg))
-        );
-        for delta in [false, true] {
-            let view = DirectoryPayload::View {
-                view: ViewPayload {
-                    from: 3,
-                    descriptors: vec![Descriptor::new(4, 5)],
-                },
-                reply: true,
-                delta,
-            };
-            assert_eq!(
-                decode_datagram(&encode_directory_message(&view)),
-                Ok(WirePayload::Directory(view))
-            );
-        }
-        let join = DirectoryPayload::Join { from: 11 };
-        assert_eq!(
-            decode_datagram(&encode_directory_message(&join)),
-            Ok(WirePayload::Directory(join))
-        );
-        let pb = Piggyback {
-            from: 9,
-            descriptors: vec![Descriptor::new(1, 2)],
-            addrs: vec![],
-        };
-        let inner = Message::refuse(NodeId::new(4), 7);
-        assert_eq!(
-            decode_datagram(&encode_piggyback_message(&inner, &pb)),
-            Ok(WirePayload::Piggybacked(inner, pb))
+            decode_mux_datagram(&agg(&msg)),
+            Err(DecodeError::BadVersion(WIRE_VERSION))
         );
         assert_eq!(
-            decode_datagram(&[WIRE_VERSION, 99, 0, 0]),
-            Err(DecodeError::BadTag(99))
-        );
-        assert_eq!(
-            decode_datagram(&[77, 0, 0, 0]),
-            Err(DecodeError::BadVersion(77))
+            decode_datagram(&frame),
+            Err(DecodeError::BadVersion(MUX_WIRE_VERSION))
         );
     }
 
     fn sample_descriptor(name: &str) -> QueryDescriptor {
-        use epidemic_aggregation::AggregateKind;
         QueryDescriptor::new(name, AggregateKind::Variance)
             .with_gamma(12)
             .with_cycle_length(750)
@@ -1514,299 +1061,68 @@ mod tests {
             .with_admission(AdmissionConfig::limited(100, 25))
     }
 
-    fn sample_entries() -> Vec<CatalogEntry> {
-        use epidemic_aggregation::AggregateKind;
-        vec![
-            CatalogEntry {
-                descriptor: sample_descriptor("load.p99"),
-                version: 3,
-                deleted: false,
-                installed_at: 12_345,
-                expires_at: 102_345,
-            },
-            CatalogEntry {
-                descriptor: QueryDescriptor::new("gone", AggregateKind::Count),
-                version: 9,
-                deleted: true,
-                installed_at: 0,
-                expires_at: 0,
-            },
-        ]
-    }
-
-    #[test]
-    fn round_trip_catalog_messages() {
-        for entries in [vec![], sample_entries()] {
-            let encoded = encode_catalog_message(NodeId::new(42), &entries);
-            assert_eq!(encoded.len(), catalog_message_len(&entries));
-            let (from, decoded) = decode_catalog_message(&encoded).expect("decode");
-            assert_eq!(from, NodeId::new(42));
-            assert_eq!(decoded, entries);
-            assert_eq!(
-                decode_datagram(&encoded),
-                Ok(WirePayload::Catalog {
-                    from: NodeId::new(42),
-                    entries,
-                })
-            );
-        }
-    }
-
     #[test]
     fn catalog_decode_rejects_corruption() {
-        let entries = sample_entries();
-        let encoded = encode_catalog_message(NodeId::new(1), &entries);
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_catalog_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
+        let entries = [CatalogEntry {
+            descriptor: sample_descriptor("load.p99"),
+            version: 3,
+            deleted: false,
+            installed_at: 12_345,
+            expires_at: 102_345,
+        }];
+        let encoded = round_trip(Frame::Catalog {
+            from: NodeId::new(1),
+            entries: &entries,
+        });
         // An unknown aggregate kind code must not decode. The kind byte
         // sits right after the first name (header 12 + name len byte).
         let mut bad_kind = encoded.clone();
         bad_kind[12 + 1 + entries[0].descriptor.name.len()] = 250;
-        assert_eq!(
-            decode_catalog_message(&bad_kind),
-            Err(DecodeError::BadTag(250))
-        );
+        assert_eq!(decode_datagram(&bad_kind), Err(DecodeError::BadTag(250)));
         // Invalid UTF-8 in the name is rejected, not lossily accepted.
         let mut bad_name = encoded;
         bad_name[13] = 0xFF;
-        assert_eq!(decode_catalog_message(&bad_name), Err(DecodeError::BadName));
-        // Foreign tags bounce.
-        let agg = encode_message(&Message::refuse(NodeId::new(1), 0));
-        assert_eq!(decode_catalog_message(&agg), Err(DecodeError::BadTag(3)));
+        assert_eq!(decode_datagram(&bad_name), Err(DecodeError::BadName));
     }
 
     #[test]
-    fn round_trip_query_messages() {
-        let msg = Message::request(
-            NodeId::new(9),
-            4,
-            vec![InstanceState::Scalar(1.5), InstanceState::Scalar(0.25)],
-        );
-        let encoded = encode_query_message("load.p99", &msg);
-        assert_eq!(encoded.len(), query_message_len("load.p99", &msg));
-        let (query, decoded) = decode_query_message(&encoded).expect("decode");
-        assert_eq!(query, "load.p99");
-        assert_eq!(decoded, msg);
-        assert_eq!(
-            decode_datagram(&encoded),
-            Ok(WirePayload::Query {
-                query,
-                message: msg.clone(),
-            })
-        );
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_query_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
-        // The mux framing routes to the right virtual node.
-        let frame = encode_mux_query_frame(NodeId::new(77), "load.p99", &msg);
-        assert_eq!(frame.len(), mux_query_frame_len("load.p99", &msg));
-        let (to, payload) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(77));
-        assert_eq!(
-            payload,
-            WirePayload::Query {
-                query: "load.p99".to_string(),
-                message: msg,
-            }
-        );
-    }
-
-    #[test]
-    fn mux_catalog_frames_round_trip() {
-        let entries = sample_entries();
-        let frame = encode_mux_catalog_frame(NodeId::new(5), NodeId::new(2), &entries);
-        assert_eq!(frame.len(), mux_catalog_frame_len(&entries));
-        let (to, payload) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(5));
-        assert_eq!(
-            payload,
-            WirePayload::Catalog {
-                from: NodeId::new(2),
-                entries,
-            }
-        );
-    }
-
-    #[test]
-    fn round_trip_rpc_requests() {
-        let requests = [
-            RpcRequest::Install {
-                id: 1,
-                descriptor: sample_descriptor("q"),
-            },
-            RpcRequest::Remove {
-                id: u64::MAX,
-                name: "q".to_string(),
-            },
-            RpcRequest::Submit {
-                id: 3,
-                name: "q".to_string(),
-                value: -0.125,
-            },
-            RpcRequest::Read {
-                id: 4,
-                name: String::new(),
-            },
-        ];
-        for request in requests {
-            let encoded = encode_rpc_request(&request);
-            assert_eq!(encoded.len(), rpc_request_len(&request), "{request:?}");
-            assert_eq!(decode_rpc_request(&encoded), Ok(request.clone()));
-            assert_eq!(decode_datagram(&encoded), Ok(WirePayload::Rpc(request)));
-            for len in 0..encoded.len() {
-                assert_eq!(
-                    decode_rpc_request(&encoded[..len]),
-                    Err(DecodeError::Truncated),
-                    "prefix of length {len}"
-                );
-            }
-        }
-        // Unknown op codes bounce.
+    fn rpc_frames_reject_unknown_ops_and_statuses() {
         let mut bad_op = encode_rpc_request(&RpcRequest::Read {
             id: 1,
             name: "q".to_string(),
         });
         bad_op[10] = 9;
-        assert_eq!(decode_rpc_request(&bad_op), Err(DecodeError::BadTag(9)));
-    }
-
-    #[test]
-    fn round_trip_rpc_responses() {
-        let responses = [
-            RpcResponse::ack(7),
-            RpcResponse::reject(8, RpcStatus::AdmissionRejected),
-            RpcResponse {
-                id: 9,
-                status: RpcStatus::Ok,
-                estimate: 1024.5,
-                epoch: 31,
-            },
-        ];
-        for response in responses {
-            let encoded = encode_rpc_response(&response);
-            assert_eq!(encoded.len(), rpc_response_len());
-            assert_eq!(decode_rpc_response(&encoded), Ok(response.clone()));
-            assert_eq!(
-                decode_datagram(&encoded),
-                Ok(WirePayload::RpcReply(response))
-            );
-            for len in 0..encoded.len() {
-                assert_eq!(
-                    decode_rpc_response(&encoded[..len]),
-                    Err(DecodeError::Truncated),
-                    "prefix of length {len}"
-                );
-            }
-        }
-        // Unknown status codes bounce.
-        let mut bad = encode_rpc_response(&RpcResponse::ack(1));
-        bad[10] = 200;
-        assert_eq!(decode_rpc_response(&bad), Err(DecodeError::BadTag(200)));
-    }
-
-    #[test]
-    fn round_trip_piggyback_messages() {
-        let msg = Message::request(
-            NodeId::new(77),
-            3,
-            vec![InstanceState::Scalar(1.5), InstanceState::Scalar(-0.25)],
+        assert_eq!(decode_datagram(&bad_op), Err(DecodeError::BadTag(9)));
+        let mut bad_status = encode_rpc_response(&RpcResponse::ack(1));
+        bad_status[10] = 200;
+        assert_eq!(
+            decode_rpc_response(&bad_status),
+            Err(DecodeError::BadTag(200))
         );
-        for pb in [
-            Piggyback {
-                from: 12,
-                descriptors: vec![],
-                addrs: vec![],
-            },
-            Piggyback {
-                from: u32::MAX,
-                descriptors: vec![Descriptor::new(1, 9), Descriptor::new(2, u32::MAX)],
-                addrs: vec![
-                    (1, "10.1.2.3:7001".parse().unwrap()),
-                    (2, "[2001:db8::9]:65535".parse().unwrap()),
-                ],
-            },
-        ] {
-            let encoded = encode_piggyback_message(&msg, &pb);
-            assert_eq!(encoded.len(), piggyback_message_len(&msg, &pb));
-            assert_eq!(
-                encoded.len(),
-                piggyback_trailer_len(&pb) + encoded_len(&msg),
-                "trailer arithmetic"
-            );
-            let (decoded, decoded_pb) = decode_piggyback_message(&encoded).expect("decode");
-            assert_eq!(decoded, msg);
-            assert_eq!(decoded_pb, pb);
-        }
+        // A well-formed frame of another kind is not a response.
+        assert_eq!(
+            decode_rpc_response(&agg(&Message::refuse(NodeId::new(1), 0))),
+            Err(DecodeError::BadTag(3))
+        );
     }
 
     #[test]
-    fn piggyback_rejects_truncation_and_foreign_tags() {
-        let msg = Message::request(NodeId::new(1), 2, vec![InstanceState::Scalar(0.5)]);
+    fn piggyback_carries_a_complete_aggregation_message() {
+        let msg = sample_request();
         let pb = Piggyback {
             from: 3,
             descriptors: vec![Descriptor::new(4, 5)],
             addrs: vec![(4, "127.0.0.1:9000".parse().unwrap())],
         };
-        let encoded = encode_piggyback_message(&msg, &pb);
-        for len in 0..encoded.len() {
-            assert_eq!(
-                decode_piggyback_message(&encoded[..len]),
-                Err(DecodeError::Truncated),
-                "prefix of length {len}"
-            );
-        }
-        let plain = encode_message(&msg);
-        assert_eq!(
-            decode_piggyback_message(&plain),
-            Err(DecodeError::BadTag(0))
-        );
-    }
-
-    #[test]
-    fn mux_piggyback_frames_round_trip() {
-        let msg = Message::reply(NodeId::new(8), 1, vec![InstanceState::Scalar(2.0)]);
-        let pb = Piggyback {
-            from: 8,
-            descriptors: vec![Descriptor::new(9, 10)],
-            addrs: vec![],
-        };
-        let frame = encode_mux_piggyback_frame(NodeId::new(31), &msg, &pb);
-        assert_eq!(frame.len(), mux_piggyback_frame_len(&msg, &pb));
-        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(31));
-        assert_eq!(decoded, WirePayload::Piggybacked(msg, pb));
-    }
-
-    #[test]
-    fn mux_directory_frames_round_trip() {
-        let payload = DirectoryPayload::Introduce {
-            from: 2,
-            peers: vec![IntroduceEntry {
-                node: 3,
-                timestamp: 4,
-                addr: Some("127.0.0.1:5555".parse().unwrap()),
-            }],
-        };
-        let frame = encode_mux_directory_frame(NodeId::new(900), &payload);
-        assert_eq!(frame.len(), mux_directory_frame_len(&payload));
-        let (to, decoded) = decode_mux_datagram(&frame).expect("decode");
-        assert_eq!(to, NodeId::new(900));
-        assert_eq!(decoded, WirePayload::Directory(payload));
-
-        // Aggregation frames route through the same decoder.
-        let msg = Message::refuse(NodeId::new(1), 0);
-        let (to, decoded) = decode_mux_datagram(&encode_mux_frame(NodeId::new(5), &msg)).unwrap();
-        assert_eq!(to, NodeId::new(5));
-        assert_eq!(decoded, WirePayload::Aggregation(msg));
+        let encoded = round_trip(Frame::Piggybacked(&msg, &pb));
+        // The trailer sits in front of the plain message's bytes.
+        let plain = agg(&msg);
+        assert_eq!(encoded[encoded.len() - plain.len()..], plain[..]);
+        // A corrupt nested version is reported as such.
+        let mut bad = encoded;
+        let at = bad.len() - plain.len();
+        bad[at] = 77;
+        assert_eq!(decode_datagram(&bad), Err(DecodeError::BadVersion(77)));
     }
 
     #[test]
@@ -1814,5 +1130,6 @@ mod tests {
         assert!(DecodeError::Truncated.to_string().contains("truncated"));
         assert!(DecodeError::BadVersion(3).to_string().contains('3'));
         assert!(DecodeError::BadTag(9).to_string().contains('9'));
+        assert!(DecodeError::NonFinite.to_string().contains("finite"));
     }
 }

@@ -19,9 +19,11 @@
 //!   runtime.
 //! * [`codec`] — a compact, versioned binary wire format for protocol
 //!   messages (hand-rolled little-endian framing, no codec dependency):
-//!   aggregation exchanges, NEWSCAST view exchanges, join/introduce
-//!   bootstrap, virtual-node-routed mux frames, and exact `*_len` size
-//!   twins for traffic accounting.
+//!   one borrowed [`Frame`] enum encodes every tag — aggregation
+//!   exchanges, NEWSCAST view exchanges, join/introduce bootstrap, query
+//!   traffic, virtual-node-routed mux frames — and prices it by running
+//!   the same encoder against a counting writer; one decoder
+//!   ([`codec::decode_datagram`]) reads them all back.
 //! * [`mux`] — the UDP runtime ([`mux::MuxCluster`]): the paper's active
 //!   and passive threads realized per virtual node on a timer wheel, N
 //!   virtual nodes behind a small **reader socket set** (vnode `i` homed on
@@ -98,7 +100,7 @@ pub mod timer;
 
 pub use batch::IoBackend;
 pub use cluster::{Cluster, TrafficCounts};
-pub use codec::{decode_message, encode_message, DecodeError};
+pub use codec::{DecodeError, Frame};
 pub use directory::{
     DirectorySpec, GossipDirectory, GossipDirectoryConfig, PeerDirectory, StaticDirectory,
 };

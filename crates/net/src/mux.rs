@@ -105,7 +105,7 @@ use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
 use crate::codec::{
     decode_datagram, decode_mux_datagram, encode_mux_catalog_frame, encode_mux_directory_frame,
     encode_mux_frame, encode_mux_piggyback_frame, encode_mux_query_frame, encode_rpc_response,
-    piggyback_trailer_len, WirePayload,
+    Frame, WirePayload,
 };
 use crate::directory::{
     Destination, DirectoryMessage, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer,
@@ -645,6 +645,9 @@ struct Shared {
     rpc_requests: Counter,
     /// `rpc.rejects` — the subset answered with a non-`Ok` status.
     rpc_rejects: Counter,
+    /// `wire.decode_rejects` — datagrams dropped because they did not
+    /// decode (reader sockets and RPC listener alike).
+    decode_rejects: Counter,
     /// Derives `epoch.estimate_drift{query=…}` per named query from the
     /// completed query epochs the workers drain.
     query_drift: Mutex<QueryDriftTracker>,
@@ -994,6 +997,7 @@ impl MuxCluster {
             }),
             rpc_requests: registry.counter("rpc.requests"),
             rpc_rejects: registry.counter("rpc.rejects"),
+            decode_rejects: registry.counter("wire.decode_rejects"),
             query_drift: Mutex::new(QueryDriftTracker {
                 registry: registry.clone(),
                 queries: BTreeMap::new(),
@@ -1347,7 +1351,8 @@ fn reader_loop(shared: &Shared, reader: usize) {
                         }
                     }
                     let Ok((to, payload)) = decode_mux_datagram(batch.datagram(i)) else {
-                        continue; // corrupt datagram: drop, stay alive
+                        shared.decode_rejects.inc();
+                        continue; // corrupt datagram: count, drop, stay alive
                     };
                     let Some(local) = to.index().checked_sub(shared.base) else {
                         continue; // foreign shard's vnode: misrouted, drop
@@ -1568,11 +1573,16 @@ fn step_vnode(
         if let Some(target) = shared.dest_addr(out.to.index()) {
             let (frame, kind) = match &piggyback {
                 Some(pb) => {
-                    let trailer = piggyback_trailer_len(pb) as u32;
-                    shared.delta_bytes.add(u64::from(trailer));
+                    // The membership ledger is charged what the trailer
+                    // adds on top of the plain aggregation frame.
+                    let trailer = Frame::Piggybacked(&out.message, pb).encoded_len()
+                        - Frame::Aggregation(&out.message).encoded_len();
+                    shared.delta_bytes.add(trailer as u64);
                     (
                         encode_mux_piggyback_frame(out.to, &out.message, pb),
-                        FrameKind::Piggybacked { trailer },
+                        FrameKind::Piggybacked {
+                            trailer: trailer as u32,
+                        },
                     )
                 }
                 None => (
@@ -1655,7 +1665,8 @@ fn rpc_loop(shared: &Shared, socket: &UdpSocket) {
         match socket.recv_from(&mut buf) {
             Ok((len, src)) => {
                 let Ok(WirePayload::Rpc(request)) = decode_datagram(&buf[..len]) else {
-                    continue; // not a client request: drop, stay alive
+                    shared.decode_rejects.inc();
+                    continue; // not a client request: count, drop, stay alive
                 };
                 let index = next % shared.nodes.len();
                 next = next.wrapping_add(1);

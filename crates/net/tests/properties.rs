@@ -1,21 +1,18 @@
-//! Property-based tests of the wire codec's size arithmetic and framing.
+//! Property-based tests of the wire codec.
 //!
-//! The event engine charges view traffic against a bandwidth model using
-//! the `*_len` helpers instead of encoding real buffers, so the central
-//! invariant pinned here is `encoded_len() == encode().len()` over
-//! arbitrary messages — aggregation bodies, view exchanges, and mux
-//! frames alike — plus decode round-trips for everything generated.
+//! One generic property covers every [`WirePayload`] variant: a payload
+//! turned into a `Frame` encodes to exactly `encoded_len()` bytes,
+//! decodes back to itself, routes by destination behind the mux prefix
+//! (through the same named wrappers the runtime sends with), and no
+//! strict prefix of its bytes decodes.
 
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message};
 use epidemic_common::NodeId;
 use epidemic_net::codec::{
-    decode_datagram, decode_directory_message, decode_message, decode_mux_datagram,
-    decode_mux_frame, decode_piggyback_message, decode_view_message, directory_encoded_len,
-    encode_directory_message, encode_message, encode_mux_directory_frame, encode_mux_frame,
-    encode_mux_piggyback_frame, encode_piggyback_message, encode_view_message, encoded_len,
-    mux_directory_frame_len, mux_frame_len, mux_piggyback_frame_len, piggyback_message_len,
-    piggyback_trailer_len, view_encoded_len,
+    decode_datagram, decode_mux_datagram, decode_rpc_response, encode_mux_catalog_frame,
+    encode_mux_directory_frame, encode_mux_frame, encode_mux_piggyback_frame,
+    encode_mux_query_frame, encode_rpc_request, encode_rpc_response, DecodeError, WirePayload,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_newscast::node::ViewPayload;
@@ -26,30 +23,6 @@ use epidemic_query::{
 };
 use proptest::prelude::*;
 use std::net::{IpAddr, SocketAddr};
-
-/// Raw generated material for one query descriptor: `(name, kind code,
-/// gamma, cycle length, timeout fraction, ttl, default, rate, burst)`.
-type DescriptorRaw = (String, u8, u32, u64, f64, u64, f64, u32, u32);
-
-/// Builds a wire-valid descriptor from generated raw material.
-fn query_descriptor(raw: DescriptorRaw) -> QueryDescriptor {
-    let (name, kind_code, gamma, cycle, timeout_frac, ttl, default, rate, burst) = raw;
-    let kind = kind_from_code(kind_code % 8).expect("kind code in range");
-    let timeout = 1 + (timeout_frac * (cycle - 2) as f64) as u64;
-    QueryDescriptor {
-        name,
-        kind,
-        gamma,
-        cycle_length: cycle,
-        timeout,
-        ttl_ms: ttl,
-        default_value: default,
-        admission: AdmissionConfig {
-            rate_per_sec: rate,
-            burst,
-        },
-    }
-}
 
 /// Query names: 1–19 chars from a wire-safe alphabet (stays well under
 /// the u8 length prefix).
@@ -62,403 +35,253 @@ fn query_name() -> impl Strategy<Value = String> {
     })
 }
 
-/// Strategy for one descriptor's raw material (floats stay finite and
-/// bounded so decoded equality is exact).
-fn descriptor_raw() -> impl Strategy<Value = DescriptorRaw> {
+/// A wire-valid query descriptor (floats stay finite and bounded so
+/// decoded equality is exact).
+fn query_descriptor() -> impl Strategy<Value = QueryDescriptor> {
     (
         (query_name(), any::<u8>(), 1u32..1_000),
         (2u64..100_000, 0.0f64..1.0, 0u64..10_000_000),
-        (-1e9f64..1e9, any::<u32>(), any::<u32>()),
+        (-1e9f64..1e9, any::<u32>(), 1u32..u32::MAX),
     )
         .prop_map(
-            |((name, kind, gamma), (cycle, frac, ttl), (default, rate, burst))| {
-                (name, kind, gamma, cycle, frac, ttl, default, rate, burst)
+            |((name, code, gamma), (cycle, frac, ttl), (default, rate, burst))| QueryDescriptor {
+                name,
+                kind: kind_from_code(code % 8).expect("kind code in range"),
+                gamma,
+                cycle_length: cycle,
+                timeout: 1 + (frac * (cycle - 2) as f64) as u64,
+                ttl_ms: ttl,
+                default_value: default,
+                admission: AdmissionConfig {
+                    rate_per_sec: rate,
+                    burst,
+                },
             },
         )
 }
 
-/// Raw generated material for one instance state: `(is_map, scalar,
-/// map_entries)`.
-type StateRaw = (bool, f64, Vec<(u64, f64)>);
-
-/// Builds one of the four message bodies from generated raw material.
-fn message(from: u64, epoch: u64, tag: u8, states_raw: Vec<StateRaw>) -> Message {
-    let states: Vec<InstanceState> = states_raw
-        .into_iter()
-        .map(|(is_map, scalar, entries)| {
+/// Any of the four aggregation message bodies.
+fn message() -> impl Strategy<Value = Message> {
+    let state = (
+        any::<bool>(),
+        -1e12f64..1e12,
+        prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..8),
+    )
+        .prop_map(|(is_map, scalar, entries)| {
             if is_map {
                 InstanceState::Map(InstanceMap::from_entries(entries))
             } else {
                 InstanceState::Scalar(scalar)
             }
+        });
+    (
+        any::<u64>(),
+        any::<u64>(),
+        0u8..4,
+        prop::collection::vec(state, 0..5),
+    )
+        .prop_map(|(from, epoch, tag, states)| {
+            let from = NodeId::new(from);
+            match tag {
+                0 => Message::request(from, epoch, states),
+                1 => Message::reply(from, epoch, states),
+                2 => Message::epoch_notice(from, epoch),
+                _ => Message::refuse(from, epoch),
+            }
         })
-        .collect();
-    let from = NodeId::new(from);
-    match tag % 4 {
-        0 => Message::request(from, epoch, states),
-        1 => Message::reply(from, epoch, states),
-        2 => Message::epoch_notice(from, epoch),
-        _ => Message::refuse(from, epoch),
+}
+
+fn descriptors(max: usize) -> impl Strategy<Value = Vec<Descriptor>> {
+    prop::collection::vec((any::<u32>(), any::<u32>()), 0..max)
+        .prop_map(|raw| raw.iter().map(|&(n, t)| Descriptor::new(n, t)).collect())
+}
+
+/// IPv4 or IPv6 socket addresses.
+fn socket_addr() -> impl Strategy<Value = SocketAddr> {
+    (any::<bool>(), any::<u32>(), any::<u32>()).prop_map(|(v6, ip, port)| {
+        let ip = if v6 {
+            let mut octets = [0u8; 16];
+            octets[..4].copy_from_slice(&ip.to_le_bytes());
+            octets[12..].copy_from_slice(&port.to_le_bytes());
+            IpAddr::from(octets)
+        } else {
+            IpAddr::from(ip.to_le_bytes())
+        };
+        SocketAddr::new(ip, (port >> 16) as u16)
+    })
+}
+
+fn catalog_entry() -> impl Strategy<Value = CatalogEntry> {
+    (
+        query_descriptor(),
+        any::<u32>(),
+        any::<bool>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(descriptor, version, deleted, installed_at, expires_at)| CatalogEntry {
+                descriptor,
+                version,
+                deleted,
+                installed_at,
+                expires_at,
+            },
+        )
+}
+
+/// Every [`WirePayload`] variant, and every tag 0–14 beneath them.
+fn wire_payload() -> impl Strategy<Value = WirePayload> {
+    prop_oneof![
+        message().prop_map(WirePayload::Aggregation),
+        (any::<u32>(), any::<bool>(), any::<bool>(), descriptors(40)).prop_map(
+            |(from, reply, delta, descriptors)| WirePayload::Directory(DirectoryPayload::View {
+                view: ViewPayload { from, descriptors },
+                reply,
+                delta,
+            })
+        ),
+        any::<u32>().prop_map(|from| WirePayload::Directory(DirectoryPayload::Join { from })),
+        (
+            any::<u32>(),
+            prop::collection::vec(
+                (any::<u32>(), any::<u32>(), prop::option::of(socket_addr())),
+                0..24
+            ),
+        )
+            .prop_map(|(from, raw)| {
+                let peers = raw
+                    .into_iter()
+                    .map(|(node, timestamp, addr)| IntroduceEntry {
+                        node,
+                        timestamp,
+                        addr,
+                    })
+                    .collect();
+                WirePayload::Directory(DirectoryPayload::Introduce { from, peers })
+            }),
+        (
+            message(),
+            any::<u32>(),
+            descriptors(8),
+            prop::collection::vec((any::<u32>(), socket_addr()), 0..6),
+        )
+            .prop_map(|(message, from, descriptors, addrs)| {
+                let piggyback = Piggyback {
+                    from,
+                    descriptors,
+                    addrs,
+                };
+                WirePayload::Piggybacked(message, piggyback)
+            }),
+        (any::<u64>(), prop::collection::vec(catalog_entry(), 0..6)).prop_map(|(from, entries)| {
+            WirePayload::Catalog {
+                from: NodeId::new(from),
+                entries,
+            }
+        }),
+        (query_name(), message())
+            .prop_map(|(query, message)| WirePayload::Query { query, message }),
+        (
+            any::<u64>(),
+            0u8..4,
+            query_name(),
+            -1e9f64..1e9,
+            query_descriptor()
+        )
+            .prop_map(|(id, op, name, value, descriptor)| {
+                WirePayload::Rpc(match op {
+                    0 => RpcRequest::Install { id, descriptor },
+                    1 => RpcRequest::Remove { id, name },
+                    2 => RpcRequest::Submit { id, name, value },
+                    _ => RpcRequest::Read { id, name },
+                })
+            }),
+        (any::<u64>(), 0u8..6, -1e9f64..1e9, any::<u64>()).prop_map(
+            |(id, code, estimate, epoch)| WirePayload::RpcReply(RpcResponse {
+                id,
+                status: RpcStatus::from_code(code).expect("status code in range"),
+                estimate,
+                epoch,
+            })
+        ),
+    ]
+}
+
+/// The bytes the runtime actually sends for `payload` to vnode `to`:
+/// the named wrapper for each mux-routed kind, the bare frame for RPC.
+fn wrapper_bytes(payload: &WirePayload, to: NodeId) -> Vec<u8> {
+    match payload {
+        WirePayload::Aggregation(m) => encode_mux_frame(to, m),
+        WirePayload::Piggybacked(m, pb) => encode_mux_piggyback_frame(to, m, pb),
+        WirePayload::Directory(d) => encode_mux_directory_frame(to, d),
+        WirePayload::Catalog { from, entries } => encode_mux_catalog_frame(to, *from, entries),
+        WirePayload::Query { query, message } => encode_mux_query_frame(to, query, message),
+        WirePayload::Rpc(request) => encode_rpc_request(request),
+        WirePayload::RpcReply(response) => encode_rpc_response(response),
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn encoded_len_matches_encode_for_aggregation_messages(
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e12f64..1e12, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..8)),
-            0..5,
-        ),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let encoded = encode_message(&msg);
-        prop_assert_eq!(encoded_len(&msg), encoded.len(), "encoded_len mismatch for {:?}", msg);
-        let decoded = decode_message(&encoded).expect("round trip");
-        prop_assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn encoded_len_matches_encode_for_view_messages(
-        from in any::<u32>(),
-        reply in any::<bool>(),
-        delta in any::<bool>(),
-        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..40),
-    ) {
-        let payload = ViewPayload {
-            from,
-            descriptors: raw.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
-        };
-        // Full and delta view messages share one layout; the tag alone
-        // (4/5 vs 8/9) carries the full-vs-delta bit.
-        let encoded = encode_view_message(&payload, reply, delta);
-        prop_assert_eq!(view_encoded_len(&payload), encoded.len());
-        let (decoded, was_reply, was_delta) =
-            decode_view_message(&encoded).expect("round trip");
-        prop_assert_eq!(decoded, payload);
-        prop_assert_eq!(was_reply, reply);
-        prop_assert_eq!(was_delta, delta);
-    }
-
-    #[test]
-    fn piggybacked_message_round_trips_and_sizes_match(
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
-        pb_from in any::<u32>(),
-        descs in prop::collection::vec((any::<u32>(), any::<u32>()), 0..8),
-        addrs in prop::collection::vec(
-            // (node, v6?, ip material, port material)
-            (any::<u32>(), any::<bool>(), any::<u32>(), any::<u32>()),
-            0..6,
-        ),
-        mux_to in any::<u64>(),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let piggyback = Piggyback {
-            from: pb_from,
-            descriptors: descs.iter().map(|&(n, t)| Descriptor::new(n, t)).collect(),
-            addrs: addrs
-                .iter()
-                .map(|&(node, v6, ip, port)| {
-                    let port = port as u16;
-                    let addr = if v6 {
-                        let mut octets = [0u8; 16];
-                        octets[..4].copy_from_slice(&ip.to_le_bytes());
-                        SocketAddr::new(IpAddr::from(octets), port)
-                    } else {
-                        SocketAddr::new(IpAddr::from(ip.to_le_bytes()), port)
-                    };
-                    (node, addr)
-                })
-                .collect(),
-        };
-        let encoded = encode_piggyback_message(&msg, &piggyback);
-        prop_assert_eq!(piggyback_message_len(&msg, &piggyback), encoded.len());
-        // The trailer is what the membership ledger gets charged; it must
-        // never exceed the datagram it rides on.
-        prop_assert!(piggyback_trailer_len(&piggyback) < encoded.len());
-        let (dmsg, dpb) = decode_piggyback_message(&encoded).expect("round trip");
-        prop_assert_eq!(&dmsg, &msg);
-        prop_assert_eq!(&dpb, &piggyback);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Piggybacked(msg.clone(), piggyback.clone())
-        );
-        // And the mux framing routes it by destination vnode.
-        let frame = encode_mux_piggyback_frame(NodeId::new(mux_to), &msg, &piggyback);
-        prop_assert_eq!(mux_piggyback_frame_len(&msg, &piggyback), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
-        prop_assert_eq!(
-            decoded,
-            epidemic_net::codec::WirePayload::Piggybacked(msg, piggyback)
-        );
-    }
-
-    #[test]
-    fn mux_frame_len_matches_and_routes(
+    fn every_wire_payload_round_trips_through_frame(
+        payload in wire_payload(),
         to in any::<u64>(),
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
+        bump in 1u8..255,
     ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let frame = encode_mux_frame(NodeId::new(to), &msg);
-        prop_assert_eq!(mux_frame_len(&msg), frame.len());
-        let (dst, decoded) = decode_mux_frame(&frame).expect("round trip");
-        prop_assert_eq!(dst, NodeId::new(to));
-        prop_assert_eq!(decoded, msg);
-    }
+        let frame = payload.as_frame();
+        let encoded = frame.encode();
+        // The counting writer and the real encoder agree on size…
+        prop_assert_eq!(frame.encoded_len(), encoded.len(), "size of {:?}", payload);
+        // …the one decoder inverts the one encoder…
+        let decoded = decode_datagram(&encoded).expect("round trip");
+        prop_assert_eq!(decoded.as_frame(), frame);
+        // …no strict prefix decodes…
+        for len in 0..encoded.len() {
+            prop_assert_eq!(
+                decode_datagram(&encoded[..len]),
+                Err(DecodeError::Truncated),
+                "prefix of length {}", len
+            );
+        }
+        // …and a foreign version is rejected before any body parsing.
+        let mut bad = encoded.clone();
+        let foreign = bad[0].wrapping_add(bump);
+        bad[0] = foreign;
+        prop_assert_eq!(decode_datagram(&bad), Err(DecodeError::BadVersion(foreign)));
 
-    #[test]
-    fn encoded_len_matches_encode_for_join_and_introduce(
-        from in any::<u32>(),
-        is_join in any::<bool>(),
-        raw in prop::collection::vec(
-            // (node, timestamp, addr kind, ip material, port)
-            (any::<u32>(), any::<u32>(), 0u8..3, any::<u32>(), any::<u32>()),
-            0..24,
-        ),
-    ) {
-        let payload = if is_join {
-            DirectoryPayload::Join { from }
-        } else {
-            let peers = raw
-                .iter()
-                .map(|&(node, timestamp, kind, ip, port)| IntroduceEntry {
-                    node,
-                    timestamp,
-                    addr: match kind {
-                        0 => None,
-                        1 => Some(SocketAddr::new(
-                            IpAddr::from(ip.to_le_bytes()),
-                            port as u16,
-                        )),
-                        _ => {
-                            let mut octets = [0u8; 16];
-                            octets[..4].copy_from_slice(&ip.to_le_bytes());
-                            octets[12..].copy_from_slice(&port.to_le_bytes());
-                            Some(SocketAddr::new(IpAddr::from(octets), (port >> 16) as u16))
-                        }
-                    },
-                })
-                .collect();
-            DirectoryPayload::Introduce { from, peers }
-        };
-        let encoded = encode_directory_message(&payload);
-        prop_assert_eq!(directory_encoded_len(&payload), encoded.len());
-        let decoded = decode_directory_message(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &payload);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Directory(payload)
-        );
-    }
-
-    #[test]
-    fn mux_directory_frame_len_matches_and_routes(
-        to in any::<u64>(),
-        from in any::<u32>(),
-        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..16),
-    ) {
-        let payload = DirectoryPayload::Introduce {
-            from,
-            peers: raw
-                .iter()
-                .map(|&(node, timestamp)| IntroduceEntry { node, timestamp, addr: None })
-                .collect(),
-        };
-        let frame = encode_mux_directory_frame(NodeId::new(to), &payload);
-        prop_assert_eq!(mux_directory_frame_len(&payload), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("round trip");
-        prop_assert_eq!(dst, NodeId::new(to));
-        prop_assert_eq!(decoded, epidemic_net::codec::WirePayload::Directory(payload));
-    }
-
-    #[test]
-    fn catalog_message_len_matches_and_round_trips(
-        from in any::<u64>(),
-        mux_to in any::<u64>(),
-        raw in prop::collection::vec(
-            (descriptor_raw(), any::<u32>(), any::<bool>(), any::<u64>(), any::<u64>()),
-            0..6,
-        ),
-    ) {
-        let entries: Vec<CatalogEntry> = raw
-            .into_iter()
-            .map(|(d, version, deleted, installed_at, expires_at)| CatalogEntry {
-                descriptor: query_descriptor(d),
-                version,
-                deleted,
-                installed_at,
-                expires_at,
-            })
-            .collect();
-        let from = NodeId::new(from);
-        let encoded = epidemic_net::codec::encode_catalog_message(from, &entries);
-        prop_assert_eq!(epidemic_net::codec::catalog_message_len(&entries), encoded.len());
-        let (dfrom, dentries) =
-            epidemic_net::codec::decode_catalog_message(&encoded).expect("round trip");
-        prop_assert_eq!(dfrom, from);
-        prop_assert_eq!(&dentries, &entries);
-        // The plane router agrees with the dedicated decoder.
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Catalog { from, entries: entries.clone() }
-        );
-        // The mux framing routes it by destination vnode.
-        let frame =
-            epidemic_net::codec::encode_mux_catalog_frame(NodeId::new(mux_to), from, &entries);
-        prop_assert_eq!(epidemic_net::codec::mux_catalog_frame_len(&entries), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
-        prop_assert_eq!(
-            decoded,
-            epidemic_net::codec::WirePayload::Catalog { from, entries }
-        );
-    }
-
-    #[test]
-    fn query_frame_len_matches_and_routes(
-        name in query_name(),
-        from in any::<u64>(),
-        epoch in any::<u64>(),
-        tag in 0u8..4,
-        mux_to in any::<u64>(),
-        states_raw in prop::collection::vec(
-            (any::<bool>(), -1e6f64..1e6, prop::collection::vec((any::<u64>(), 0.0f64..1.0), 0..4)),
-            0..3,
-        ),
-    ) {
-        let msg = message(from, epoch, tag, states_raw);
-        let encoded = epidemic_net::codec::encode_query_message(&name, &msg);
-        prop_assert_eq!(epidemic_net::codec::query_message_len(&name, &msg), encoded.len());
-        let (dname, dmsg) =
-            epidemic_net::codec::decode_query_message(&encoded).expect("round trip");
-        prop_assert_eq!(&dname, &name);
-        prop_assert_eq!(&dmsg, &msg);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Query { query: name.clone(), message: msg.clone() }
-        );
-        let frame =
-            epidemic_net::codec::encode_mux_query_frame(NodeId::new(mux_to), &name, &msg);
-        prop_assert_eq!(epidemic_net::codec::mux_query_frame_len(&name, &msg), frame.len());
-        let (dst, decoded) = decode_mux_datagram(&frame).expect("mux round trip");
-        prop_assert_eq!(dst, NodeId::new(mux_to));
-        prop_assert_eq!(
-            decoded,
-            epidemic_net::codec::WirePayload::Query { query: name, message: msg }
-        );
-    }
-
-    #[test]
-    fn rpc_frames_round_trip_and_size(
-        id in any::<u64>(),
-        op in 0u8..4,
-        name in query_name(),
-        value in -1e9f64..1e9,
-        descriptor in descriptor_raw(),
-        status_code in 0u8..6,
-        epoch in any::<u64>(),
-    ) {
-        let request = match op {
-            0 => RpcRequest::Install { id, descriptor: query_descriptor(descriptor) },
-            1 => RpcRequest::Remove { id, name },
-            2 => RpcRequest::Submit { id, name, value },
-            _ => RpcRequest::Read { id, name },
-        };
-        let encoded = epidemic_net::codec::encode_rpc_request(&request);
-        prop_assert_eq!(epidemic_net::codec::rpc_request_len(&request), encoded.len());
-        let decoded = epidemic_net::codec::decode_rpc_request(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &request);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::Rpc(request)
-        );
-        // Responses are fixed-size frames.
-        let response = RpcResponse {
-            id,
-            status: RpcStatus::from_code(status_code).expect("status code in range"),
-            estimate: value,
-            epoch,
-        };
-        let encoded = epidemic_net::codec::encode_rpc_response(&response);
-        prop_assert_eq!(epidemic_net::codec::rpc_response_len(), encoded.len());
-        let decoded = epidemic_net::codec::decode_rpc_response(&encoded).expect("round trip");
-        prop_assert_eq!(&decoded, &response);
-        prop_assert_eq!(
-            decode_datagram(&encoded).expect("datagram"),
-            epidemic_net::codec::WirePayload::RpcReply(response)
-        );
-    }
-
-    #[test]
-    fn query_plane_frames_reject_foreign_versions_and_tags(
-        from in any::<u64>(),
-        bump in 1u8..200,
-        raw in prop::collection::vec(
-            (descriptor_raw(), any::<u32>(), any::<bool>(), any::<u64>(), any::<u64>()),
-            0..3,
-        ),
-    ) {
-        let entries: Vec<CatalogEntry> = raw
-            .into_iter()
-            .map(|(d, version, deleted, installed_at, expires_at)| CatalogEntry {
-                descriptor: query_descriptor(d),
-                version,
-                deleted,
-                installed_at,
-                expires_at,
-            })
-            .collect();
-        let mut encoded = epidemic_net::codec::encode_catalog_message(NodeId::new(from), &entries);
-        // A foreign wire version is rejected before any payload parsing…
-        let foreign = encoded[0].wrapping_add(bump);
-        encoded[0] = foreign;
-        prop_assert_eq!(
-            epidemic_net::codec::decode_catalog_message(&encoded),
-            Err(epidemic_net::codec::DecodeError::BadVersion(foreign))
-        );
-        encoded[0] = epidemic_net::codec::WIRE_VERSION;
-        // …and a wrong tag is rejected by the dedicated decoders.
-        encoded[1] = 12;
-        prop_assert_eq!(
-            epidemic_net::codec::decode_catalog_message(&encoded),
-            Err(epidemic_net::codec::DecodeError::BadTag(12))
-        );
+        // The mux prefix routes by destination, and the runtime's named
+        // wrappers emit exactly these bytes.
+        let to = NodeId::new(to);
+        let muxed = frame.encode_mux(to);
+        prop_assert_eq!(muxed.len(), 1 + 8 + encoded.len());
+        prop_assert_eq!(&muxed[9..], &encoded[..]);
+        prop_assert_eq!(decode_mux_datagram(&muxed), Ok((to, payload.clone())));
+        for len in 0..muxed.len() {
+            prop_assert!(decode_mux_datagram(&muxed[..len]).is_err());
+        }
+        match &payload {
+            WirePayload::Rpc(_) | WirePayload::RpcReply(_) => {
+                prop_assert_eq!(wrapper_bytes(&payload, to), encoded);
+            }
+            _ => prop_assert_eq!(wrapper_bytes(&payload, to), muxed),
+        }
     }
 
     #[test]
     fn truncated_frames_never_panic(
         raw in prop::collection::vec(any::<u8>(), 0..64),
+        tag in 0u8..16,
     ) {
-        // Arbitrary bytes: decoders must reject or decode, never panic.
-        let _ = decode_message(&raw);
-        let _ = decode_view_message(&raw);
-        let _ = decode_mux_frame(&raw);
-        let _ = decode_directory_message(&raw);
-        let _ = decode_piggyback_message(&raw);
+        // Arbitrary bytes: decoders must reject or decode, never panic —
+        // also when the header is valid and only the body is garbage.
         let _ = decode_datagram(&raw);
         let _ = decode_mux_datagram(&raw);
-        let _ = epidemic_net::codec::decode_catalog_message(&raw);
-        let _ = epidemic_net::codec::decode_query_message(&raw);
-        let _ = epidemic_net::codec::decode_rpc_request(&raw);
-        let _ = epidemic_net::codec::decode_rpc_response(&raw);
+        let _ = decode_rpc_response(&raw);
+        let mut framed = vec![epidemic_net::codec::WIRE_VERSION, tag];
+        framed.extend_from_slice(&raw);
+        let _ = decode_datagram(&framed);
     }
 }

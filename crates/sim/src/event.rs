@@ -45,6 +45,8 @@ use epidemic_common::rng::Xoshiro256;
 use epidemic_common::sample::NeighborSampling;
 use epidemic_common::stats::OnlineStats;
 use epidemic_common::NodeId;
+use epidemic_net::codec::Frame;
+use epidemic_net::directory::DirectoryPayload;
 use epidemic_newscast::node::{MembershipConfig, MembershipNode, ViewPayload};
 use epidemic_newscast::Descriptor;
 use epidemic_query::{
@@ -197,9 +199,9 @@ pub struct EventOutcome {
     /// only; the cost the idealized model hides).
     pub view_messages_sent: usize,
     /// Wire bytes of the transmitted view exchanges, priced by the real
-    /// codec ([`epidemic_net::codec::view_message_len`]): a full view
-    /// carries the sender's `c` descriptors plus a fresh self-descriptor
-    /// (`view_message_len(c + 1)` per direction); a delta
+    /// codec ([`Frame::encoded_len`]): a full view carries the sender's
+    /// `c` descriptors plus a fresh self-descriptor (`8 + 8 (c + 1)`
+    /// bytes per direction); a delta
     /// ([`MembershipModel::Gossip`]) carries only the descriptors the
     /// partner has not seen, and is priced accordingly.
     pub view_bytes_sent: usize,
@@ -233,8 +235,7 @@ pub struct EventOutcome {
     /// Query-plane messages dropped by the loss model.
     pub query_messages_lost: usize,
     /// Wire bytes of the transmitted query-plane messages, priced by the
-    /// real codec ([`epidemic_net::codec::catalog_message_len`] /
-    /// [`epidemic_net::codec::query_message_len`]).
+    /// real codec ([`Frame::encoded_len`]).
     pub query_bytes_sent: usize,
 }
 
@@ -301,16 +302,9 @@ enum EventKind {
     FailureTick(u32),
     /// Poll node `i`'s membership timer (gossiped NEWSCAST only).
     WakeView(u32),
-    /// Deliver a membership view exchange to node `to`. `reply` marks the
-    /// passive side's answer (absorbed without a response); `full` marks a
-    /// complete view rather than a delta (the wire tag's full-vs-delta
-    /// bit).
-    DeliverView {
-        to: u32,
-        reply: bool,
-        full: bool,
-        payload: ViewPayload,
-    },
+    /// Deliver a membership view exchange ([`DirectoryPayload::View`],
+    /// the exact value the wire would carry) to node `to`.
+    DeliverView { to: u32, message: DirectoryPayload },
     /// Poll node `i`'s query plane (catalog gossip + per-query schedules).
     QueryWake(u32),
     /// Deliver a query-plane frame (destination is inside the payload).
@@ -851,13 +845,18 @@ impl EventSim {
     /// model as aggregation traffic. A lost request kills the whole
     /// exchange; a lost reply leaves only the passive side updated —
     /// harmless for membership, since views carry no conserved mass.
-    fn transmit_view(&mut self, at: u64, to: u32, payload: ViewPayload, reply: bool, full: bool) {
+    fn transmit_view(&mut self, at: u64, to: u32, view: ViewPayload, reply: bool, full: bool) {
         self.view_messages_sent += 1;
         // Sender-side accounting: lost messages still cost uplink bytes.
         // Full and delta messages share one wire layout, so the codec
         // prices both by descriptor count — deltas are cheaper exactly
         // because they carry fewer descriptors.
-        let wire_len = epidemic_net::codec::view_message_len(payload.descriptors.len());
+        let message = DirectoryPayload::View {
+            view,
+            reply,
+            delta: !full,
+        };
+        let wire_len = Frame::Directory(&message).encoded_len();
         self.view_bytes_sent += wire_len;
         if !full {
             self.delta_bytes.add(wire_len as u64);
@@ -871,15 +870,7 @@ impl EventSim {
             return;
         }
         let delay = self.view_rng.range_u64(self.delay.0, self.delay.1);
-        self.push(
-            at + delay,
-            EventKind::DeliverView {
-                to,
-                reply,
-                full,
-                payload,
-            },
-        );
+        self.push(at + delay, EventKind::DeliverView { to, message });
     }
 
     /// Sends a query-plane frame (catalog gossip or per-query
@@ -889,11 +880,14 @@ impl EventSim {
         self.query_messages_sent += 1;
         let wire_len = match &frame {
             QueryOutbound::Aggregation { query, message, .. } => {
-                epidemic_net::codec::query_message_len(query, message)
+                Frame::Query { query, message }.encoded_len()
             }
-            QueryOutbound::Catalog { entries, .. } => {
-                epidemic_net::codec::catalog_message_len(entries)
+            // The sender id is fixed-width: any id prices the frame exactly.
+            QueryOutbound::Catalog { entries, .. } => Frame::Catalog {
+                from: NodeId::new(0),
+                entries,
             }
+            .encoded_len(),
         };
         self.query_bytes_sent += wire_len;
         // Link failure drops the whole push-pull exchange, i.e. the
@@ -1083,12 +1077,16 @@ impl EventSim {
                     }
                     continue; // stale timer of a crashed node: chain ends
                 }
-                EventKind::DeliverView {
-                    to,
-                    reply,
-                    full,
-                    payload,
-                } => {
+                EventKind::DeliverView { to, message } => {
+                    let DirectoryPayload::View {
+                        view: payload,
+                        reply,
+                        delta,
+                    } = message
+                    else {
+                        unreachable!("the event sim only gossips view exchanges");
+                    };
+                    let full = !delta;
                     let to = to as usize;
                     if self.is_alive(to) {
                         let local_now = self.to_local(at, to);
@@ -1420,12 +1418,24 @@ mod tests {
         let c = 15;
         let mut cfg = base_config();
         cfg.scenario.overlay = OverlaySpec::Newscast { c };
+        let view_len = |descriptors: usize| {
+            let view = ViewPayload {
+                from: 0,
+                descriptors: vec![Descriptor::new(0, 0); descriptors],
+            };
+            Frame::Directory(&DirectoryPayload::View {
+                view,
+                reply: false,
+                delta: false,
+            })
+            .encoded_len()
+        };
         let bounds = |out: &EventOutcome| {
             // Every view message carries between 0 (empty delta) and c + 1
             // descriptors; the byte total must price each message inside
             // those codec bounds.
-            let lo = out.view_messages_sent * epidemic_net::codec::view_message_len(0);
-            let hi = out.view_messages_sent * epidemic_net::codec::view_message_len(c + 1);
+            let lo = out.view_messages_sent * view_len(0);
+            let hi = out.view_messages_sent * view_len(c + 1);
             assert!(
                 (lo..=hi).contains(&out.view_bytes_sent),
                 "view_bytes_sent {} outside [{lo}, {hi}]",

@@ -6,9 +6,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Eight writer threads hammer one counter, one gauge, and one histogram
-/// while a reader snapshots continuously: counter reads must be
-/// monotone, gauge reads must never tear (every read is a value some
-/// thread actually wrote), and the final totals must be exact.
+/// while a reader snapshots continuously: counter reads and histogram
+/// totals must be monotone and bounded, gauge reads must never tear
+/// (every read is a value some thread actually wrote), and the final
+/// totals must be exact.
 #[test]
 fn registry_is_consistent_under_8_thread_hammering() {
     const THREADS: u64 = 8;
@@ -26,6 +27,7 @@ fn registry_is_consistent_under_8_thread_hammering() {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut last = 0u64;
+            let mut last_total = 0u64;
             let mut snapshots = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let now = counter.get();
@@ -36,10 +38,20 @@ fn registry_is_consistent_under_8_thread_hammering() {
                     g == 0.0 || (1.0..=f64::from(u32::MAX)).contains(&g),
                     "torn gauge read: {g}"
                 );
-                // The histogram count is derived from its buckets, so a
-                // snapshot can never disagree with itself.
-                let count = histogram.count();
-                assert_eq!(count, histogram.bucket_counts().iter().sum::<u64>());
+                // One bucket snapshot per iteration. Each bucket is a
+                // monotone atomic and reads of one location never go
+                // back in time, so the snapshot total can only grow, and
+                // it can never exceed what the writers will record.
+                let total: u64 = histogram.bucket_counts().iter().sum();
+                assert!(
+                    total >= last_total,
+                    "histogram total went backwards: {last_total} -> {total}"
+                );
+                assert!(
+                    total <= THREADS * PER_THREAD,
+                    "histogram overcounted: {total}"
+                );
+                last_total = total;
                 snapshots += 1;
             }
             snapshots

@@ -5,7 +5,8 @@ use epidemic::aggregation::rule::{Rule, UpdateRule};
 use epidemic::aggregation::value::InstanceMap;
 use epidemic::aggregation::{InstanceState, Message, MessageBody};
 use epidemic::common::NodeId;
-use epidemic::net::{decode_message, encode_message};
+use epidemic::net::codec::{decode_datagram, WirePayload};
+use epidemic::net::Frame;
 use epidemic::newscast::{Descriptor, View};
 use proptest::prelude::*;
 
@@ -15,6 +16,14 @@ fn finite_f64() -> impl Strategy<Value = f64> {
 
 fn small_f64() -> impl Strategy<Value = f64> {
     -1e6..1e6f64
+}
+
+/// Sends `msg` through the wire codec and back.
+fn wire_round_trip(msg: &Message) -> Message {
+    match decode_datagram(&Frame::Aggregation(msg).encode()) {
+        Ok(WirePayload::Aggregation(decoded)) => decoded,
+        other => panic!("not an aggregation frame: {other:?}"),
+    }
 }
 
 proptest! {
@@ -153,7 +162,7 @@ proptest! {
         } else {
             Message::reply(NodeId::new(from), epoch, states)
         };
-        let decoded = decode_message(&encode_message(&msg)).unwrap();
+        let decoded = wire_round_trip(&msg);
         prop_assert_eq!(decoded, msg);
     }
 
@@ -166,13 +175,13 @@ proptest! {
             2,
             vec![InstanceState::Map(InstanceMap::from_entries(entries))],
         );
-        let decoded = decode_message(&encode_message(&msg)).unwrap();
+        let decoded = wire_round_trip(&msg);
         prop_assert_eq!(decoded, msg);
     }
 
     #[test]
     fn codec_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..200)) {
-        let _ = decode_message(&data); // must return Err, not panic
+        let _ = decode_datagram(&data); // must return Err, not panic
     }
 
     // ---- theory ---------------------------------------------------------
@@ -193,7 +202,7 @@ proptest! {
             Message::epoch_notice(NodeId::new(3), epoch),
             Message::refuse(NodeId::new(3), epoch),
         ] {
-            let decoded = decode_message(&encode_message(&msg)).unwrap();
+            let decoded = wire_round_trip(&msg);
             prop_assert_eq!(decoded.epoch, epoch);
             prop_assert!(matches!(
                 decoded.body,

@@ -10,10 +10,13 @@
 //! agreeing convergence within paper theory bounds at n = 256 (and
 //! n = 1024 for the multi-reader set).
 
-use epidemic::aggregation::{theory, EpochReport, InstanceSpec, LeaderPolicy, NodeConfig};
+use epidemic::aggregation::{
+    theory, EpochReport, InstanceSpec, InstanceState, LeaderPolicy, Message, NodeConfig,
+};
+use epidemic::common::NodeId;
 use epidemic::net::batch::IoBackend;
 use epidemic::net::cluster::Cluster;
-use epidemic::net::codec::{decode_rpc_response, encode_rpc_request};
+use epidemic::net::codec::{decode_rpc_response, encode_mux_frame, encode_rpc_request};
 use epidemic::net::directory::{DirectorySpec, GossipDirectoryConfig};
 use epidemic::net::mux::{MuxCluster, MuxClusterConfig, PeerTable};
 use epidemic::query::{RpcRequest, RpcStatus};
@@ -684,6 +687,11 @@ fn node_survives_garbage_datagrams() {
         Some((7, RpcStatus::UnknownQuery)),
         "rpc listener stopped answering after garbage input"
     );
+    // Every dropped datagram is counted, not silently discarded.
+    assert!(
+        cluster.registry().counter_value("wire.decode_rejects") > 0,
+        "garbage datagrams were not counted"
+    );
     // The protocol keeps running and converges regardless.
     let mut saw_report = false;
     for (_, reports) in reports_by_id(&cluster) {
@@ -694,4 +702,66 @@ fn node_survives_garbage_datagrams() {
     }
     cluster.shutdown();
     assert!(saw_report, "cluster stalled after garbage input");
+}
+
+#[test]
+fn nan_exchange_frame_is_rejected_and_counted() {
+    let config = NodeConfig::builder()
+        .gamma(8)
+        .cycle_length(25)
+        .timeout(10)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let n = 4;
+    let cluster = MuxCluster::spawn(MuxClusterConfig::new(n, config).with_readers(1), |i| {
+        i as f64
+    })
+    .expect("spawn cluster");
+    // A well-framed exchange request carrying NaN state, aimed at every
+    // vnode for every epoch it could be in. Were it merged, push-pull
+    // averaging would carry the NaN into every estimate.
+    let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let mut sent = 0u64;
+    for _ in 0..6 {
+        for i in 0..n {
+            for epoch in 0..4 {
+                let poison = Message::request(
+                    NodeId::new(999),
+                    epoch,
+                    vec![InstanceState::Scalar(f64::NAN)],
+                );
+                let frame = encode_mux_frame(cluster.node_id(i), &poison);
+                attacker.send_to(&frame, cluster.addr()).unwrap();
+                sent += 1;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    // Let at least one more epoch (8 cycles x 25 ms) complete.
+    std::thread::sleep(Duration::from_millis(500));
+    let rejects = cluster.registry().counter_value("wire.decode_rejects");
+    let metrics = cluster.registry().render_prometheus();
+    let reports = reports_by_id(&cluster);
+    cluster.shutdown();
+    let mut estimates = 0;
+    for (id, node_reports) in reports {
+        for r in node_reports {
+            let estimate = r.scalar(0).unwrap();
+            assert!(
+                estimate.is_finite(),
+                "node {id} epoch {}: {estimate}",
+                r.epoch
+            );
+            estimates += 1;
+        }
+    }
+    assert!(estimates > 0, "no epoch completed");
+    // Loopback may drop under load, but every poison frame that arrived
+    // was counted, and the counter is on /metrics.
+    assert!(
+        rejects > 0 && rejects <= sent,
+        "decode rejects {rejects} of {sent}"
+    );
+    assert!(metrics.contains("wire_decode_rejects"), "{metrics}");
 }
