@@ -3,10 +3,13 @@
 //!
 //! The multiplexed runtime ([`crate::mux`]) moves one datagram per
 //! syscall when it uses `recv_from`/`send_to` — at 10⁴–10⁵ virtual nodes
-//! the kernel boundary, not the protocol, becomes the ceiling. On Linux
-//! both directions batch: a reader drains up to [`BATCH`] datagrams per
-//! `recvmmsg` call, and workers accumulate outbound frames per socket and
-//! flush them with one `sendmmsg` per [`BATCH`].
+//! the kernel boundary, not the protocol, becomes the ceiling. Two things
+//! shrink it. Workers coalesce outbound mux frames into one datagram per
+//! destination socket per flush ([`SendBatch::push_frame`], a
+//! [`crate::codec::MuxBundle`] each), so a datagram carries a burst of
+//! frames, not one. And on Linux both directions batch: a reader drains
+//! up to [`BATCH`] datagrams per `recvmmsg` call, and a flush sends up to
+//! [`BATCH`] datagrams per `sendmmsg`.
 //!
 //! The build environment has no crates.io access, so the two syscall
 //! wrappers are declared here directly (glibc exports both on every
@@ -20,6 +23,8 @@
 //! (`batched` / `portable`) overrides it, which is how CI forces the
 //! fallback path on a Linux runner.
 
+use crate::codec::{Frame, MuxBundle};
+use epidemic_common::NodeId;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
@@ -197,22 +202,71 @@ impl RecvBatch {
     }
 }
 
-/// Outbound frames accumulated for ONE socket, flushed with `sendmmsg`
+/// Outbound datagrams accumulated for ONE socket, flushed with `sendmmsg`
 /// (or a `send_to` loop on the portable backend). `M` is caller metadata
-/// carried per frame — the mux runtime stores `(node, membership)` so a
+/// carried per frame — the mux runtime stores `(node, frame kind)` so a
 /// flush can charge each node's traffic cell.
-#[derive(Debug, Default)]
+///
+/// [`SendBatch::push_frame`] coalesces mux frames: it encodes each one
+/// straight into the open [`MuxBundle`] for its target address, so one
+/// flush sends one datagram per destination socket (more only past
+/// [`MAX_BUNDLE`](crate::codec::MAX_BUNDLE) bytes). [`SendBatch::push`]
+/// queues ready-made bytes as a datagram of their own. Both kinds leave
+/// through the same flush, and bundle buffers are reused across flushes.
+#[derive(Debug)]
 pub struct SendBatch<M> {
-    frames: Vec<(Vec<u8>, SocketAddr)>,
-    meta: Vec<M>,
+    /// Datagrams of the current flush, in creation order.
+    datagrams: Vec<(Datagram, SocketAddr)>,
+    /// Per queued frame, in push order: metadata, frame wire length and
+    /// the index of the datagram carrying it.
+    frames: Vec<(M, usize, usize)>,
+    /// Cleared bundles from earlier flushes, ready for reuse.
+    spare: Vec<MuxBundle>,
+    /// Kernel verdict per datagram of the flush in progress.
+    accepted: Vec<bool>,
+}
+
+/// One outbound datagram.
+#[derive(Debug)]
+enum Datagram {
+    /// Mux frames coalesced for one destination socket.
+    Bundle(MuxBundle),
+    /// Bytes queued whole by [`SendBatch::push`].
+    Raw(Vec<u8>),
+}
+
+impl Datagram {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Datagram::Bundle(bundle) => bundle.datagram(),
+            Datagram::Raw(bytes) => bytes,
+        }
+    }
+}
+
+/// What one [`SendBatch::flush`] cost and moved.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Flushed {
+    /// Send syscalls issued.
+    pub syscalls: u64,
+    /// Datagrams the kernel accepted.
+    pub datagrams: u64,
+}
+
+impl<M> Default for SendBatch<M> {
+    fn default() -> Self {
+        SendBatch::new()
+    }
 }
 
 impl<M> SendBatch<M> {
     /// An empty batch.
     pub fn new() -> Self {
         SendBatch {
+            datagrams: Vec::new(),
             frames: Vec::new(),
-            meta: Vec::new(),
+            spare: Vec::new(),
+            accepted: Vec::new(),
         }
     }
 
@@ -226,63 +280,98 @@ impl<M> SendBatch<M> {
         self.frames.is_empty()
     }
 
-    /// Queues one frame for `target`.
+    /// Queues `bytes` as one datagram of their own for `target`.
     pub fn push(&mut self, bytes: Vec<u8>, target: SocketAddr, meta: M) {
-        self.frames.push((bytes, target));
-        self.meta.push(meta);
+        self.frames.push((meta, bytes.len(), self.datagrams.len()));
+        self.datagrams.push((Datagram::Raw(bytes), target));
     }
 
-    /// Transmits every queued frame through `socket`, invoking
-    /// `on_result(&meta, wire_len, ok)` once per frame (in push order),
-    /// then clears the batch. Returns the number of send syscalls used.
+    /// Encodes `frame`, routed to the virtual node `to`, into the open
+    /// bundle for `target` — or into a fresh one when there is none or
+    /// the frame does not fit — and returns its mux frame length. Frames
+    /// for one target leave in push order.
+    pub fn push_frame(
+        &mut self,
+        target: SocketAddr,
+        to: NodeId,
+        frame: &Frame<'_>,
+        meta: M,
+    ) -> usize {
+        // The target's newest datagram is its only open one.
+        let open = self
+            .datagrams
+            .iter_mut()
+            .enumerate()
+            .rev()
+            .find(|(_, (_, t))| *t == target);
+        if let Some((index, (Datagram::Bundle(bundle), _))) = open {
+            if let Some(len) = bundle.push(to, frame) {
+                self.frames.push((meta, len, index));
+                return len;
+            }
+        }
+        let mut bundle = self.spare.pop().unwrap_or_default();
+        let len = bundle
+            .push(to, frame)
+            .expect("an empty bundle takes any frame");
+        self.frames.push((meta, len, self.datagrams.len()));
+        self.datagrams.push((Datagram::Bundle(bundle), target));
+        len
+    }
+
+    /// Transmits every queued datagram through `socket`, invoking
+    /// `on_result(&meta, frame_len, ok)` once per frame (in push order,
+    /// `ok` being its datagram's verdict), then clears the batch.
     ///
-    /// A frame the kernel rejects (e.g. `sendmmsg` stopping early, or a
-    /// `send_to` error) reports `ok = false` and transmission continues
-    /// with the next frame — one bad destination cannot stall the rest
-    /// of the burst.
+    /// A datagram the kernel rejects (e.g. `sendmmsg` stopping early, or
+    /// a `send_to` error) reports `ok = false` for each of its frames and
+    /// transmission continues with the next datagram — one bad
+    /// destination cannot stall the rest of the burst.
     pub fn flush(
         &mut self,
         socket: &UdpSocket,
         backend: IoBackend,
         mut on_result: impl FnMut(&M, usize, bool),
-    ) -> u64 {
-        let syscalls = self.transmit(socket, backend, &mut on_result);
-        self.frames.clear();
-        self.meta.clear();
-        syscalls
+    ) -> Flushed {
+        self.accepted.clear();
+        let syscalls = self.transmit(socket, backend);
+        for (meta, len, datagram) in self.frames.drain(..) {
+            on_result(&meta, len, self.accepted[datagram]);
+        }
+        for (datagram, _) in self.datagrams.drain(..) {
+            if let Datagram::Bundle(mut bundle) = datagram {
+                bundle.clear();
+                self.spare.push(bundle);
+            }
+        }
+        Flushed {
+            syscalls,
+            datagrams: self.accepted.iter().filter(|&&ok| ok).count() as u64,
+        }
     }
 
-    fn transmit(
-        &mut self,
-        socket: &UdpSocket,
-        backend: IoBackend,
-        on_result: &mut impl FnMut(&M, usize, bool),
-    ) -> u64 {
+    /// Sends every datagram, recording one verdict each in `accepted`;
+    /// returns the syscalls used.
+    fn transmit(&mut self, socket: &UdpSocket, backend: IoBackend) -> u64 {
         #[cfg(target_os = "linux")]
         if backend == IoBackend::Batched {
-            return self.transmit_batched(socket, on_result);
+            return self.transmit_batched(socket);
         }
         let _ = backend;
-        let mut syscalls = 0u64;
-        for ((bytes, target), meta) in self.frames.iter().zip(&self.meta) {
-            syscalls += 1;
-            let ok = socket.send_to(bytes, *target).is_ok();
-            on_result(meta, bytes.len(), ok);
+        for (datagram, target) in &self.datagrams {
+            let ok = socket.send_to(datagram.bytes(), *target).is_ok();
+            self.accepted.push(ok);
         }
-        syscalls
+        self.datagrams.len() as u64
     }
 
     #[cfg(target_os = "linux")]
-    fn transmit_batched(
-        &mut self,
-        socket: &UdpSocket,
-        on_result: &mut impl FnMut(&M, usize, bool),
-    ) -> u64 {
+    fn transmit_batched(&mut self, socket: &UdpSocket) -> u64 {
         use std::os::fd::AsRawFd;
         let mut syscalls = 0u64;
         let mut start = 0usize;
-        while start < self.frames.len() {
-            let chunk = (self.frames.len() - start).min(BATCH);
+        while start < self.datagrams.len() {
+            let chunk = (self.datagrams.len() - start).min(BATCH);
             let mut addrs = [sys::SockaddrStorage::zeroed(); BATCH];
             let mut iovecs = [sys::IoVec {
                 iov_base: std::ptr::null_mut(),
@@ -290,9 +379,12 @@ impl<M> SendBatch<M> {
             }; BATCH];
             let mut hdrs = [sys::MmsgHdr::zeroed(); BATCH];
             for i in 0..chunk {
-                let (bytes, target) = &mut self.frames[start + i];
+                let (datagram, target) = &self.datagrams[start + i];
+                let bytes = datagram.bytes();
                 let namelen = addrs[i].encode(target);
-                iovecs[i].iov_base = bytes.as_mut_ptr().cast();
+                // The kernel only reads a send buffer; the pointer is
+                // `*mut` for the shared `iovec` ABI alone.
+                iovecs[i].iov_base = bytes.as_ptr().cast_mut().cast();
                 iovecs[i].iov_len = bytes.len();
                 hdrs[i].msg_hdr.msg_name = addrs[i].bytes.as_mut_ptr().cast();
                 hdrs[i].msg_hdr.msg_namelen = namelen;
@@ -300,24 +392,23 @@ impl<M> SendBatch<M> {
                 hdrs[i].msg_hdr.msg_iovlen = 1;
             }
             // SAFETY: headers 0..chunk each point at a distinct live
-            // frame buffer, its own iovec, and its own sockaddr storage,
-            // all outliving the call; the fd is valid for the borrow.
+            // datagram buffer, its own iovec, and its own sockaddr
+            // storage, all outliving the call; the fd is valid for the
+            // borrow.
             let sent =
                 unsafe { sys::sendmmsg(socket.as_raw_fd(), hdrs.as_mut_ptr(), chunk as u32, 0) };
             syscalls += 1;
             if sent > 0 {
-                for i in start..start + sent as usize {
-                    on_result(&self.meta[i], self.frames[i].0.len(), true);
-                }
+                self.accepted.resize(start + sent as usize, true);
                 start += sent as usize;
             } else {
                 let err = io::Error::last_os_error();
                 if err.kind() == io::ErrorKind::Interrupted {
                     continue;
                 }
-                // The first frame of the chunk failed; report it and move
-                // on so one dead destination cannot wedge the burst.
-                on_result(&self.meta[start], self.frames[start].0.len(), false);
+                // The first datagram of the chunk failed; record it and
+                // move on so one dead destination cannot wedge the burst.
+                self.accepted.push(false);
                 start += 1;
             }
         }
@@ -449,6 +540,8 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{for_each_mux_frame, WirePayload, MAX_BUNDLE};
+    use epidemic_aggregation::{InstanceState, Message};
     use std::time::Duration;
 
     fn pair() -> (UdpSocket, UdpSocket, SocketAddr) {
@@ -498,11 +591,13 @@ mod tests {
                 batch.push(format!("datagram-{i}").into_bytes(), to, i);
             }
             let mut sent = Vec::new();
-            let syscalls = batch.flush(&tx, backend, |&i, len, ok| {
+            let flushed = batch.flush(&tx, backend, |&i, len, ok| {
                 assert!(ok, "send {i} failed");
                 assert_eq!(len, format!("datagram-{i}").len());
                 sent.push(i);
             });
+            assert_eq!(flushed.datagrams, total as u64);
+            let syscalls = flushed.syscalls;
             assert_eq!(sent, (0..total).collect::<Vec<_>>());
             assert!(batch.is_empty(), "flush must clear the batch");
             if backend.is_batched() {
@@ -560,19 +655,101 @@ mod tests {
         for backend in backends() {
             let (tx, _rx, to) = pair();
             // An IPv6 destination on an IPv4 socket: the kernel rejects
-            // it, the surrounding IPv4 frames must still go through.
+            // it, the surrounding IPv4 datagrams must still go through.
+            // Both frames bundled for it fail with it.
             let bad: SocketAddr = "[::1]:9".parse().unwrap();
+            let msg = Message::refuse(NodeId::new(1), 0);
+            let frame = Frame::Aggregation(&msg);
             let mut batch: SendBatch<u8> = SendBatch::new();
             batch.push(b"ok-0".to_vec(), to, 0);
-            batch.push(b"bad".to_vec(), bad, 1);
-            batch.push(b"ok-2".to_vec(), to, 2);
+            batch.push_frame(bad, NodeId::new(2), &frame, 1);
+            batch.push_frame(bad, NodeId::new(3), &frame, 2);
+            batch.push(b"ok-3".to_vec(), to, 3);
             let mut results = Vec::new();
-            batch.flush(&tx, backend, |&tag, _len, ok| results.push((tag, ok)));
+            let flushed = batch.flush(&tx, backend, |&tag, _len, ok| results.push((tag, ok)));
             assert_eq!(
                 results,
-                vec![(0, true), (1, false), (2, true)],
+                vec![(0, true), (1, false), (2, false), (3, true)],
                 "{backend:?}"
             );
+            assert_eq!(flushed.datagrams, 2, "{backend:?}");
         }
+    }
+
+    /// Sends `batch` from `tx` and unwraps every frame `rx` receives, in
+    /// arrival order, with the datagram count.
+    fn send_and_unwrap(
+        batch: &mut SendBatch<usize>,
+        tx: &UdpSocket,
+        rx: &UdpSocket,
+        backend: IoBackend,
+    ) -> (Vec<(NodeId, WirePayload)>, usize) {
+        let flushed = batch.flush(tx, backend, |_, _, ok| assert!(ok));
+        let mut recv = RecvBatch::new();
+        let (mut frames, mut datagrams) = (Vec::new(), 0);
+        while datagrams < flushed.datagrams as usize {
+            let count = recv.recv(rx, backend).expect("bundle lost");
+            for d in 0..count {
+                datagrams += 1;
+                for_each_mux_frame(recv.datagram(d), |frame| frames.push(frame.unwrap()));
+            }
+        }
+        (frames, datagrams)
+    }
+
+    #[test]
+    fn frames_for_one_socket_share_a_datagram() {
+        for backend in backends() {
+            let (tx, rx, to) = pair();
+            let msgs: Vec<Message> = (0..40)
+                .map(|i| Message::request(NodeId::new(i), i, vec![InstanceState::Scalar(0.5)]))
+                .collect();
+            let mut batch: SendBatch<usize> = SendBatch::new();
+            let mut lens = Vec::new();
+            for (i, msg) in msgs.iter().enumerate() {
+                let frame = Frame::Aggregation(msg);
+                let len = batch.push_frame(to, NodeId::new(i as u64), &frame, i);
+                assert_eq!(len, frame.encode_mux(NodeId::new(i as u64)).len());
+                lens.push(len);
+            }
+            assert_eq!(batch.len(), 40);
+            let (frames, datagrams) = send_and_unwrap(&mut batch, &tx, &rx, backend);
+            // 40 frames of 49 bundled bytes each need two bundles under
+            // the cap, and arrive in push order.
+            let per_bundle = (MAX_BUNDLE - 1) / (lens[0] + 2);
+            assert_eq!(datagrams, 40usize.div_ceil(per_bundle), "{backend:?}");
+            let want: Vec<(NodeId, WirePayload)> = msgs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (NodeId::new(i as u64), WirePayload::Aggregation(m.clone())))
+                .collect();
+            assert_eq!(frames, want, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_frames_travel_alone_and_bare() {
+        let (tx, rx, to) = pair();
+        let small = Message::refuse(NodeId::new(1), 0);
+        let big = Message::request(
+            NodeId::new(2),
+            0,
+            vec![InstanceState::Scalar(1.0); MAX_BUNDLE / 9],
+        );
+        let mut batch: SendBatch<usize> = SendBatch::new();
+        batch.push_frame(to, NodeId::new(0), &Frame::Aggregation(&small), 0);
+        batch.push_frame(to, NodeId::new(0), &Frame::Aggregation(&big), 1);
+        batch.push_frame(to, NodeId::new(0), &Frame::Aggregation(&small), 2);
+        let (frames, datagrams) = send_and_unwrap(&mut batch, &tx, &rx, IoBackend::Portable);
+        assert_eq!(datagrams, 3, "a frame past the cap must not be bundled");
+        let kinds: Vec<bool> = frames
+            .iter()
+            .map(|(_, p)| *p == WirePayload::Aggregation(big.clone()))
+            .collect();
+        assert_eq!(kinds, vec![false, true, false], "push order kept");
+        // A second flush reuses the bundles' buffers.
+        batch.push_frame(to, NodeId::new(0), &Frame::Aggregation(&small), 0);
+        let (frames, datagrams) = send_and_unwrap(&mut batch, &tx, &rx, IoBackend::Portable);
+        assert_eq!((frames.len(), datagrams), (1, 1));
     }
 }

@@ -8,10 +8,9 @@
 //! accounting, shutdown.
 //!
 //! Traffic is accounted per node and per plane in [`TrafficCounts`]:
-//! aggregation datagrams (the paper's push-pull exchanges) separately
-//! from membership datagrams (NEWSCAST views, join/introduce bootstrap)
-//! and from query-plane datagrams (catalog gossip, named-query
-//! exchanges), so the overhead of gossiped membership and of the
+//! aggregation frames (the paper's push-pull exchanges) separately from
+//! membership frames (NEWSCAST views, join/introduce bootstrap) and from
+//! query-plane frames (catalog gossip, named-query exchanges), so the overhead of gossiped membership and of the
 //! multi-tenant query plane are both directly measurable.
 
 use epidemic_aggregation::EpochReport;
@@ -38,32 +37,37 @@ pub(crate) fn reserve_loopback_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
     Ok(addrs)
 }
 
-/// Per-node datagram accounting, split by protocol plane.
+/// Per-node frame accounting, split by protocol plane.
+///
+/// Every count is of frames: the mux runtime coalesces the frames bound
+/// for one socket into one bundled datagram, and a bundle of `k` frames
+/// counts `k` here (the `io.datagrams_sent` registry counter counts the
+/// datagrams themselves). Byte counts are frame bytes, without the
+/// bundle envelope.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficCounts {
-    /// Aggregation-plane datagrams sent (requests, replies, notices).
+    /// Aggregation-plane frames sent (requests, replies, notices).
     pub aggregation_sent: u64,
-    /// Aggregation-plane datagrams received.
+    /// Aggregation-plane frames received.
     pub aggregation_received: u64,
-    /// Membership-plane datagrams sent (views, joins, introductions).
+    /// Membership-plane frames sent (views, joins, introductions).
     pub membership_sent: u64,
-    /// Membership-plane datagrams received.
+    /// Membership-plane frames received.
     pub membership_received: u64,
-    /// Query-plane datagrams sent (catalog gossip, named-query
-    /// exchanges).
+    /// Query-plane frames sent (catalog gossip, named-query exchanges).
     pub query_sent: u64,
-    /// Query-plane datagrams received.
+    /// Query-plane frames received.
     pub query_received: u64,
-    /// Wire bytes of the aggregation datagrams sent.
+    /// Wire bytes of the aggregation frames sent.
     pub aggregation_bytes_sent: u64,
-    /// Wire bytes of the membership datagrams sent.
+    /// Wire bytes of the membership frames sent.
     pub membership_bytes_sent: u64,
-    /// Wire bytes of the query-plane datagrams sent.
+    /// Wire bytes of the query-plane frames sent.
     pub query_bytes_sent: u64,
-    /// Datagrams (either plane) the kernel refused to send — the visible
-    /// face of outbound backpressure. A send that fails is NOT counted in
-    /// the per-plane `*_sent` fields, so at high load loss shows up here
-    /// instead of silently vanishing.
+    /// Frames (any plane) the kernel refused to send, one per frame of a
+    /// refused bundle — the visible face of outbound backpressure. A send
+    /// that fails is NOT counted in the per-plane `*_sent` fields, so at
+    /// high load loss shows up here instead of silently vanishing.
     pub send_errors: u64,
     /// Bootstrap `Join` datagrams re-sent after the first went unanswered
     /// (counted inside `membership_sent`). Non-zero means the introducer
@@ -77,12 +81,12 @@ pub struct TrafficCounts {
 }
 
 impl TrafficCounts {
-    /// Total datagrams sent across all planes.
+    /// Total frames sent across all planes.
     pub fn sent(&self) -> u64 {
         self.aggregation_sent + self.membership_sent + self.query_sent
     }
 
-    /// Total datagrams received across all planes.
+    /// Total frames received across all planes.
     pub fn received(&self) -> u64 {
         self.aggregation_received + self.membership_received + self.query_received
     }
@@ -252,7 +256,7 @@ pub trait Cluster: Sized {
     /// next epoch).
     fn set_local_value(&self, index: usize, value: f64);
 
-    /// Datagram counts for local node `index`, split by plane.
+    /// Frame counts for local node `index`, split by plane.
     fn datagram_counts(&self, index: usize) -> TrafficCounts;
 
     /// Drains the protocol trace events local node `index` recorded since

@@ -1,10 +1,9 @@
 //! Binary wire format.
 //!
-//! One datagram carries one frame. The format is little-endian,
-//! versioned, and deliberately simple:
+//! A frame is little-endian, versioned, and deliberately simple:
 //!
 //! ```text
-//! u8  version (=4; 2 is reserved for the mux routing prefix below)
+//! u8  version (=4; 2 and 3 are reserved for the mux prefix and bundle below)
 //! u8  body tag: 0 request, 1 reply, 2 epoch notice, 3 refuse,
 //!               4 view exchange, 5 view reply, 6 join, 7 introduce,
 //!               8 delta view exchange, 9 delta view reply,
@@ -72,6 +71,20 @@
 //! ... the version-4 frame bytes ...
 //! ```
 //!
+//! A plain socket's datagram carries one frame. A mux datagram carries
+//! one mux frame or a **bundle** of several, all bound for vnodes behind
+//! the same destination socket ([`MuxBundle`]):
+//!
+//! ```text
+//! u8  bundle version (=3)
+//! then per frame: u16 length, that many bytes of one mux frame
+//! ```
+//!
+//! A bundle stays under [`MAX_BUNDLE`] bytes; a bundle of one frame is
+//! sent bare (the plain mux frame), and [`for_each_mux_frame`] reads
+//! either form. Bundling changes the datagram, never a frame: each frame
+//! inside is byte-identical to [`Frame::encode_mux`]'s output.
+//!
 //! # One encoder, one decoder
 //!
 //! A [`Frame`] borrows whatever is being sent — one variant per
@@ -80,8 +93,10 @@
 //! against a private byte-counting [`WireWrite`] ([`Frame::encoded_len`]),
 //! so a traffic model's byte count cannot drift from the bytes a socket
 //! sends, and [`Frame::encode`] / [`Frame::encode_mux`] allocate exactly
-//! once. [`decode_datagram`] is the only tag dispatcher and
-//! [`decode_mux_datagram`] the only mux-prefix unwrapper; for every frame
+//! once ([`Frame::encode_mux_into`] appends to a reused buffer instead).
+//! [`decode_datagram`] is the only tag dispatcher, [`decode_mux_datagram`]
+//! the only mux-prefix unwrapper and [`for_each_mux_frame`] the only
+//! bundle unwrapper; for every frame
 //! `decode_datagram(&f.encode())?.as_frame() == f`.
 //!
 //! Decoding is the trust boundary: an f64 that becomes protocol state (a
@@ -105,9 +120,9 @@ use std::fmt;
 use std::net::{IpAddr, SocketAddr};
 
 /// Wire format version of every frame. Version 1 lacked the delta view
-/// and piggyback tags, version 3 the query plane (tags 11–14); version 2
-/// is permanently reserved for the mux routing prefix so the two
-/// framings can never be confused.
+/// and piggyback tags, version 3 the query plane (tags 11–14). On mux
+/// sockets version 2 is the routing prefix and 3 the bundle envelope
+/// ([`MUX_BUNDLE_VERSION`]), so the framings can never be confused.
 pub const WIRE_VERSION: u8 = 4;
 
 /// Wire version of the virtual-node-routed frames emitted by
@@ -115,8 +130,21 @@ pub const WIRE_VERSION: u8 = 4;
 /// and a plain socket can never misparse each other's datagrams.
 pub const MUX_WIRE_VERSION: u8 = 2;
 
+/// Wire version of a mux bundle: several mux frames coalesced into one
+/// datagram for one destination socket ([`MuxBundle`]).
+pub const MUX_BUNDLE_VERSION: u8 = 3;
+
+/// Largest bundle [`MuxBundle::push`] builds: a 1500-byte MTU minus the
+/// 40-byte IPv6 and 8-byte UDP headers, so a cross-host bundle is never
+/// fragmented. A single frame larger than this still goes out, alone and
+/// bare.
+pub const MAX_BUNDLE: usize = 1452;
+
 /// Bytes of the mux routing prefix: version + destination vnode id.
 const MUX_PREFIX_LEN: usize = 1 + 8;
+
+/// Bytes in front of every frame of a bundle: its `u16` length.
+const BUNDLE_LEN_PREFIX: usize = 2;
 
 /// Error raised when a datagram cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,10 +357,87 @@ impl Frame<'_> {
     /// virtual node `to`, into one exactly-sized buffer.
     pub fn encode_mux(&self, to: NodeId) -> Vec<u8> {
         let mut buf = Vec::with_capacity(MUX_PREFIX_LEN + self.encoded_len());
+        self.encode_mux_into(to, &mut buf);
+        buf
+    }
+
+    /// Appends the frame, behind a mux routing prefix addressed to the
+    /// virtual node `to`, to `buf` — [`encode_mux`](Self::encode_mux)
+    /// without the allocation.
+    pub fn encode_mux_into(&self, to: NodeId, buf: &mut Vec<u8>) {
         buf.put_u8(MUX_WIRE_VERSION);
         buf.put_u64_le(to.as_u64());
-        self.encode_into(&mut buf);
-        buf
+        self.encode_into(buf);
+    }
+}
+
+/// One outbound mux datagram under construction: mux frames for one
+/// destination socket, appended in order, under a [`MAX_BUNDLE`] cap.
+///
+/// The buffer always holds the bundle layout (`u8` version 3, then
+/// `(u16 len, mux frame)*`); a bundle of one frame is sent bare, as the
+/// plain mux frame, so [`datagram`](Self::datagram) skips the envelope
+/// then. Cleared bundles keep their buffer, so a reused bundle encodes
+/// without allocating.
+#[derive(Debug)]
+pub struct MuxBundle {
+    buf: Vec<u8>,
+    frames: usize,
+}
+
+impl Default for MuxBundle {
+    fn default() -> Self {
+        MuxBundle::new()
+    }
+}
+
+impl MuxBundle {
+    /// An empty bundle.
+    pub fn new() -> Self {
+        MuxBundle {
+            buf: vec![MUX_BUNDLE_VERSION],
+            frames: 0,
+        }
+    }
+
+    /// Appends `frame`, routed to the virtual node `to`, and returns its
+    /// mux frame length — or `None`, leaving the bundle unchanged, when
+    /// the bundle already holds a frame and this one would take it past
+    /// [`MAX_BUNDLE`]. An empty bundle accepts any frame.
+    pub fn push(&mut self, to: NodeId, frame: &Frame<'_>) -> Option<usize> {
+        let mark = self.buf.len();
+        self.buf.put_u16_le(0);
+        frame.encode_mux_into(to, &mut self.buf);
+        if self.frames > 0 && self.buf.len() > MAX_BUNDLE {
+            self.buf.truncate(mark);
+            return None;
+        }
+        let len = self.buf.len() - mark - BUNDLE_LEN_PREFIX;
+        // A frame too large for the prefix can only be a lone, bare one.
+        self.buf[mark..mark + BUNDLE_LEN_PREFIX].copy_from_slice(&(len as u16).to_le_bytes());
+        self.frames += 1;
+        Some(len)
+    }
+
+    /// Frames in the bundle.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// The bytes to send: the bare mux frame for a bundle of one, the
+    /// whole envelope otherwise.
+    pub fn datagram(&self) -> &[u8] {
+        if self.frames == 1 {
+            &self.buf[1 + BUNDLE_LEN_PREFIX..]
+        } else {
+            &self.buf
+        }
+    }
+
+    /// Empties the bundle, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.buf.truncate(1);
+        self.frames = 0;
     }
 }
 
@@ -745,6 +850,36 @@ pub fn decode_mux_datagram(data: &[u8]) -> Result<(NodeId, WirePayload), DecodeE
     Ok((to, decode_datagram(r.0)?))
 }
 
+/// Hands every mux frame a datagram carries to `f`, decoded through
+/// [`decode_mux_datagram`]: each frame of a version-3 bundle in order, or
+/// the datagram itself as a bundle of one. This is the only bundle
+/// unwrapper.
+///
+/// Every frame is judged alone: a frame that fails to decode is one `Err`
+/// and the next frame still decodes. A length prefix that overruns the
+/// datagram — or an envelope with no frame at all — ends the bundle with
+/// one [`DecodeError::Truncated`]. Every datagram yields at least one
+/// item.
+pub fn for_each_mux_frame(
+    data: &[u8],
+    mut f: impl FnMut(Result<(NodeId, WirePayload), DecodeError>),
+) {
+    let Some((&MUX_BUNDLE_VERSION, mut rest)) = data.split_first() else {
+        return f(decode_mux_datagram(data));
+    };
+    if rest.is_empty() {
+        return f(Err(DecodeError::Truncated));
+    }
+    while !rest.is_empty() {
+        let r = &mut Reader(rest);
+        let Ok(frame) = r.u16().and_then(|len| r.bytes(usize::from(len))) else {
+            return f(Err(DecodeError::Truncated));
+        };
+        rest = r.0;
+        f(decode_mux_datagram(frame));
+    }
+}
+
 /// Decodes a client RPC response (tag 14).
 ///
 /// # Errors
@@ -1050,6 +1185,87 @@ mod tests {
             decode_datagram(&frame),
             Err(DecodeError::BadVersion(MUX_WIRE_VERSION))
         );
+    }
+
+    fn unwrap_all(data: &[u8]) -> Vec<Result<(NodeId, WirePayload), DecodeError>> {
+        let mut frames = Vec::new();
+        for_each_mux_frame(data, |frame| frames.push(frame));
+        frames
+    }
+
+    #[test]
+    fn bundles_unwrap_frame_by_frame() {
+        let good = Message::refuse(NodeId::new(1), 0);
+        let poison = Message::request(NodeId::new(2), 0, vec![InstanceState::Scalar(f64::NAN)]);
+        let mut bundle = MuxBundle::new();
+        for (to, msg) in [(10, &good), (11, &poison), (12, &good)] {
+            let len = bundle.push(NodeId::new(to), &Frame::Aggregation(msg));
+            assert_eq!(len, Some(encode_mux_frame(NodeId::new(to), msg).len()));
+        }
+        assert_eq!(bundle.frames(), 3);
+        let bytes = bundle.datagram().to_vec();
+        assert_eq!(bytes[0], MUX_BUNDLE_VERSION);
+        // The bad frame costs only itself.
+        let ok = |to| Ok((NodeId::new(to), WirePayload::Aggregation(good.clone())));
+        assert_eq!(
+            unwrap_all(&bytes),
+            vec![ok(10), Err(DecodeError::NonFinite), ok(12)]
+        );
+        // A length prefix that overruns ends the bundle with one error.
+        let mut overrun = bytes.clone();
+        overrun.truncate(bytes.len() - 1);
+        assert_eq!(
+            unwrap_all(&overrun),
+            vec![
+                ok(10),
+                Err(DecodeError::NonFinite),
+                Err(DecodeError::Truncated)
+            ]
+        );
+        // An envelope with no frame, and a bundle nested in a bundle, are
+        // malformed; a bare mux frame is a bundle of one.
+        assert_eq!(
+            unwrap_all(&[MUX_BUNDLE_VERSION]),
+            vec![Err(DecodeError::Truncated)]
+        );
+        let mut nested = vec![MUX_BUNDLE_VERSION];
+        nested.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+        nested.extend_from_slice(&bytes);
+        assert_eq!(
+            unwrap_all(&nested),
+            vec![Err(DecodeError::BadVersion(MUX_BUNDLE_VERSION))]
+        );
+        assert_eq!(
+            unwrap_all(&encode_mux_frame(NodeId::new(10), &good)),
+            vec![ok(10)]
+        );
+        // Cleared, the bundle keeps its buffer and sends one frame bare.
+        bundle.clear();
+        bundle.push(NodeId::new(10), &Frame::Aggregation(&good));
+        assert_eq!(
+            bundle.datagram(),
+            &encode_mux_frame(NodeId::new(10), &good)[..]
+        );
+    }
+
+    #[test]
+    fn bundles_stay_under_the_cap() {
+        let msg = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(0.5)]);
+        let frame = Frame::Aggregation(&msg);
+        let mut bundle = MuxBundle::new();
+        while bundle.push(NodeId::new(0), &frame).is_some() {}
+        let per_frame = 2 + frame.encode_mux(NodeId::new(0)).len();
+        assert_eq!(bundle.frames(), (MAX_BUNDLE - 1) / per_frame);
+        assert!(bundle.datagram().len() <= MAX_BUNDLE);
+        // A lone frame past the cap is accepted, and sent bare.
+        let big = Message::request(NodeId::new(1), 0, vec![InstanceState::Scalar(0.5); 200]);
+        let mut alone = MuxBundle::new();
+        assert!(alone
+            .push(NodeId::new(0), &Frame::Aggregation(&big))
+            .is_some());
+        assert!(alone.datagram().len() > MAX_BUNDLE);
+        assert_eq!(alone.datagram()[0], MUX_WIRE_VERSION);
+        assert_eq!(alone.push(NodeId::new(0), &frame), None);
     }
 
     fn sample_descriptor(name: &str) -> QueryDescriptor {

@@ -23,7 +23,9 @@
 //!   exchanges, NEWSCAST view exchanges, join/introduce bootstrap, query
 //!   traffic, virtual-node-routed mux frames — and prices it by running
 //!   the same encoder against a counting writer; one decoder
-//!   ([`codec::decode_datagram`]) reads them all back.
+//!   ([`codec::decode_datagram`]) reads them all back. Mux frames for one
+//!   destination socket travel together in a [`codec::MuxBundle`]
+//!   datagram, unwrapped by [`codec::for_each_mux_frame`].
 //! * [`mux`] — the UDP runtime ([`mux::MuxCluster`]): the paper's active
 //!   and passive threads realized per virtual node on a timer wheel, N
 //!   virtual nodes behind a small **reader socket set** (vnode `i` homed on
@@ -34,7 +36,9 @@
 //!   ranges to shard addresses.
 //! * [`batch`] — syscall-batched datagram I/O ([`batch::IoBackend`]):
 //!   `recvmmsg`/`sendmmsg` on Linux with a portable one-per-syscall
-//!   fallback, runtime-selectable for A/B measurement.
+//!   fallback, runtime-selectable for A/B measurement; its
+//!   [`batch::SendBatch`] coalesces outbound mux frames into one bundle
+//!   per destination socket per flush.
 //! * [`timer`] — the hashed timer wheel backing [`mux`].
 //!
 //! # Examples

@@ -13,12 +13,15 @@
 //! * `readers` sockets, each owned by one *reader* thread
 //!   ([`MuxClusterConfig::with_readers`]; 1 is a single socket moving
 //!   every datagram). Local vnode `i` is homed on socket
-//!   `i % readers`: its datagrams arrive there and its outbound frames
-//!   leave from there, preserving per-vnode datagram ordering. Each
-//!   reader routes by the virtual-node id in the mux frame
-//!   ([`crate::codec::decode_mux_datagram`]) and — on the batched I/O
-//!   backend ([`crate::batch::IoBackend`]) — drains up to
-//!   [`crate::batch::BATCH`] datagrams per `recvmmsg` syscall;
+//!   `i % readers`: its frames arrive there and its outbound frames
+//!   leave from there, preserving per-vnode frame ordering. Each reader
+//!   unwraps every frame of a datagram
+//!   ([`crate::codec::for_each_mux_frame`]), routes each by the
+//!   virtual-node id in its mux prefix, and — on the batched I/O backend
+//!   ([`crate::batch::IoBackend`]) — drains up to
+//!   [`crate::batch::BATCH`] datagrams per `recvmmsg` syscall. All the
+//!   frames one syscall brought in reach the work queue as one burst:
+//!   one lock, and one wake per sleeping worker the burst can use;
 //! * a *timer* thread drives one [`ShardedTimerWheel`] shard per reader
 //!   (each wheel holds only its socket's vnodes, and each shard has its
 //!   own schedule inbox, so the wheel path is never a single global
@@ -31,9 +34,14 @@
 //!   parks a timeout deadline in the wheel and yields its worker — the
 //!   pending exchange is a timer-guarded continuation inside the sans-io
 //!   [`GossipNode`]. Outbound frames accumulate per home socket in a
-//!   [`crate::batch::SendBatch`] while the work queue is hot and flush
-//!   as one `sendmmsg` burst; kernel-refused sends are counted in
-//!   [`TrafficCounts::send_errors`] instead of being silently dropped.
+//!   [`crate::batch::SendBatch`] while the work queue is hot, each
+//!   encoded straight into the open bundle for its destination socket
+//!   ([`crate::codec::MuxBundle`], capped at
+//!   [`crate::codec::MAX_BUNDLE`] bytes). A flush sends one datagram per
+//!   destination socket, all in one `sendmmsg`. [`TrafficCounts`] still
+//!   counts frames and frame bytes, and a refused datagram charges
+//!   [`TrafficCounts::send_errors`] once per frame it carried instead of
+//!   dropping them silently; `io.datagrams_sent` counts the datagrams.
 //!
 //! # Cross-host sharding
 //!
@@ -56,7 +64,7 @@
 //! aggregation traffic. Gossip introducers must be named by node id
 //! ([`crate::directory::Introducer::Node`]) — mux frames route by id.
 //!
-//! Every datagram still crosses the kernel's UDP stack (loopback or
+//! Every frame still crosses the kernel's UDP stack (loopback or
 //! otherwise), so the runtime exercises the real codec, real sockets, and
 //! real timing — only the thread-per-node cost model is gone. A node's
 //! protocol behavior is a function of its cluster-wide id and the seed:
@@ -103,9 +111,7 @@
 use crate::batch::{IoBackend, RecvBatch, SendBatch, BATCH};
 use crate::cluster::{Cluster, TrafficCell, TrafficCounts};
 use crate::codec::{
-    decode_datagram, decode_mux_datagram, encode_mux_catalog_frame, encode_mux_directory_frame,
-    encode_mux_frame, encode_mux_piggyback_frame, encode_mux_query_frame, encode_rpc_response,
-    Frame, WirePayload,
+    decode_datagram, encode_rpc_response, for_each_mux_frame, DecodeError, Frame, WirePayload,
 };
 use crate::directory::{
     Destination, DirectoryMessage, DirectoryPayload, DirectorySpec, GossipDirectory, Introducer,
@@ -509,44 +515,64 @@ enum Work {
 /// drain.
 #[derive(Debug, Default)]
 struct WorkQueue {
-    items: Mutex<VecDeque<Work>>,
+    queue: Mutex<Queue>,
     available: Condvar,
     /// `worker.queue_depth` — sampled on every push, so a scrape sees
     /// how far the workers are falling behind the reader/timer threads.
     depth: Gauge,
 }
 
+/// The work queue's lock-protected state.
+#[derive(Debug, Default)]
+struct Queue {
+    items: VecDeque<Work>,
+    /// Workers blocked in [`WorkQueue::pop`] — the most a push can wake.
+    idle: usize,
+}
+
 impl WorkQueue {
-    fn push(&self, work: Work) {
-        let mut items = self.items.lock().unwrap();
-        items.push_back(work);
-        self.depth.set(items.len() as f64);
-        drop(items);
-        self.available.notify_one();
+    /// Appends a whole burst (one receive syscall's frames, one timer
+    /// advance's wakes) under one lock, draining `burst`, and wakes one
+    /// sleeping worker per item — at most every sleeper — so a burst
+    /// costs one lock and no more futex wakes than it can use.
+    fn push_all(&self, burst: &mut Vec<Work>) {
+        if burst.is_empty() {
+            return;
+        }
+        let mut queue = self.queue.lock().unwrap();
+        let wake = burst.len().min(queue.idle);
+        queue.items.extend(burst.drain(..));
+        self.depth.set(queue.items.len() as f64);
+        drop(queue);
+        for _ in 0..wake {
+            self.available.notify_one();
+        }
     }
 
     /// Pops the next item if one is immediately available — lets a worker
     /// keep filling its send batches while the queue is hot without ever
     /// sleeping on frames it has not flushed yet.
     fn try_pop(&self) -> Option<Work> {
-        self.items.lock().unwrap().pop_front()
+        self.queue.lock().unwrap().items.pop_front()
     }
 
     /// Pops the next item, blocking until one arrives or `stop` is set.
     fn pop(&self, stop: &AtomicBool) -> Option<Work> {
-        let mut items = self.items.lock().unwrap();
+        let mut queue = self.queue.lock().unwrap();
         loop {
-            if let Some(work) = items.pop_front() {
+            if let Some(work) = queue.items.pop_front() {
                 return Some(work);
             }
             if stop.load(Ordering::Relaxed) {
                 return None;
             }
+            queue.idle += 1;
             let (guard, _timeout) = self
                 .available
-                .wait_timeout(items, Duration::from_millis(50))
+                .wait_timeout(queue, Duration::from_millis(50))
                 .unwrap();
-            items = guard;
+            queue = guard;
+            queue.idle -= 1;
         }
     }
 }
@@ -620,6 +646,10 @@ struct Shared {
     recv_calls: Counter,
     /// `io.send_syscalls{backend=…}` — worker-thread kernel crossings.
     send_calls: Counter,
+    /// `io.datagrams_sent` — datagrams the kernel accepted from the
+    /// workers. Each carries one mux frame or a bundle of several, so
+    /// this sits at or below the frames the traffic cells count.
+    datagrams_sent: Counter,
     /// `io.recv_timeouts` — the subset of recv syscalls that returned
     /// empty-handed (read-timeout wakeups for the stop-flag check).
     recv_timeouts: Counter,
@@ -630,7 +660,9 @@ struct Shared {
     delta_bytes: Counter,
     /// `timer.fire_lag_us` — how late the wheel fired each deadline.
     fire_lag: Histogram,
-    /// `io.syscalls_per_datagram` — refreshed by the timer thread's
+    /// `io.syscalls_per_datagram` — send plus receive syscalls per
+    /// *frame* sent or received (the traffic cells' counts; a bundled
+    /// datagram carries several), refreshed by the timer thread's
     /// maintenance tick.
     syscalls_per_datagram: Gauge,
     /// `membership.view_mean_size` — sampled round-robin over vnodes.
@@ -645,8 +677,9 @@ struct Shared {
     rpc_requests: Counter,
     /// `rpc.rejects` — the subset answered with a non-`Ok` status.
     rpc_rejects: Counter,
-    /// `wire.decode_rejects` — datagrams dropped because they did not
-    /// decode (reader sockets and RPC listener alike).
+    /// `wire.decode_rejects` — frames dropped because they did not
+    /// decode (each frame of a bundle counts alone; reader sockets and
+    /// RPC listener alike).
     decode_rejects: Counter,
     /// Derives `epoch.estimate_drift{query=…}` per named query from the
     /// completed query epochs the workers drain.
@@ -981,6 +1014,7 @@ impl MuxCluster {
             traffic: (0..local_n).map(|_| TrafficCell::default()).collect(),
             recv_calls: registry.counter_with("io.recv_syscalls", backend),
             send_calls: registry.counter_with("io.send_syscalls", backend),
+            datagrams_sent: registry.counter("io.datagrams_sent"),
             recv_timeouts: registry.counter("io.recv_timeouts"),
             agg_exchanges: registry.counter("agg.exchanges"),
             delta_bytes: registry.counter("membership.delta_bytes"),
@@ -1008,9 +1042,9 @@ impl MuxCluster {
         });
         // Prime every node with an initial wake so its first deadline is
         // computed and parked (and gossip directories send their joins).
-        for i in 0..local_n {
-            shared.work.push(Work::Wake(i as u32, 0));
-        }
+        shared
+            .work
+            .push_all(&mut (0..local_n).map(|i| Work::Wake(i as u32, 0)).collect());
 
         // Bind the client RPC listener (if any) before the protocol
         // threads start, so a bind failure leaks nothing.
@@ -1107,8 +1141,8 @@ impl MuxCluster {
     }
 
     /// Cumulative send/receive syscall counts across all threads since
-    /// spawn — divide by [`TrafficCounts`] datagram totals for the
-    /// syscalls-per-datagram figure the batched backend exists to shrink.
+    /// spawn — divide by [`TrafficCounts`] frame totals for the
+    /// syscalls-per-frame figure syscall batching and bundling shrink.
     pub fn syscall_counts(&self) -> SyscallCounts {
         SyscallCounts {
             recv_calls: self.shared.recv_calls.get(),
@@ -1222,7 +1256,7 @@ impl MuxCluster {
             .set_local_value(value);
     }
 
-    /// Datagram counts of local node `index`, split by plane.
+    /// Frame counts of local node `index`, split by plane.
     ///
     /// # Panics
     ///
@@ -1330,11 +1364,14 @@ impl Drop for MuxCluster {
     }
 }
 
-/// Blocks on reader socket `reader` and routes datagrams to state
-/// machines, draining up to [`BATCH`] per syscall on the batched backend.
+/// Blocks on reader socket `reader` and routes every frame of every
+/// datagram to its state machine, draining up to [`BATCH`] datagrams per
+/// syscall on the batched backend and handing each syscall's frames to
+/// the workers as one burst.
 fn reader_loop(shared: &Shared, reader: usize) {
     let socket = &shared.sockets[reader];
     let mut batch = RecvBatch::new();
+    let mut burst: Vec<Work> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
         match batch.recv(socket, shared.io) {
             Ok(count) => {
@@ -1350,29 +1387,11 @@ fn reader_loop(shared: &Shared, reader: usize) {
                             socket_cell.remote_datagrams.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    let Ok((to, payload)) = decode_mux_datagram(batch.datagram(i)) else {
-                        shared.decode_rejects.inc();
-                        continue; // corrupt datagram: count, drop, stay alive
-                    };
-                    let Some(local) = to.index().checked_sub(shared.base) else {
-                        continue; // foreign shard's vnode: misrouted, drop
-                    };
-                    if local < shared.nodes.len() {
-                        // A piggybacked frame is an aggregation datagram
-                        // (its membership trailer is charged in bytes on
-                        // the send side, not as a datagram).
-                        match &payload {
-                            WirePayload::Directory(_) => {
-                                shared.traffic[local].count_received(true);
-                            }
-                            WirePayload::Catalog { .. } | WirePayload::Query { .. } => {
-                                shared.traffic[local].count_query_received();
-                            }
-                            _ => shared.traffic[local].count_received(false),
-                        }
-                        shared.work.push(Work::Deliver(local as u32, payload));
-                    }
+                    for_each_mux_frame(batch.datagram(i), |frame| {
+                        route_frame(shared, frame, &mut burst);
+                    });
                 }
+                shared.work.push_all(&mut burst);
             }
             // Read timeout (or spurious wake): re-check the stop flag.
             Err(ref e)
@@ -1387,11 +1406,43 @@ fn reader_loop(shared: &Shared, reader: usize) {
     }
 }
 
+/// Routes one decoded mux frame to its local vnode's work item, charging
+/// the vnode's receive ledger; a frame that did not decode is counted in
+/// `wire.decode_rejects` and dropped.
+fn route_frame(
+    shared: &Shared,
+    frame: Result<(NodeId, WirePayload), DecodeError>,
+    burst: &mut Vec<Work>,
+) {
+    let Ok((to, payload)) = frame else {
+        shared.decode_rejects.inc();
+        return; // corrupt frame: count, drop, stay alive
+    };
+    let Some(local) = to.index().checked_sub(shared.base) else {
+        return; // foreign shard's vnode: misrouted, drop
+    };
+    if local >= shared.nodes.len() {
+        return;
+    }
+    // A piggybacked frame is an aggregation frame (its membership trailer
+    // is charged in bytes on the send side, not as a frame).
+    match &payload {
+        WirePayload::Directory(_) => shared.traffic[local].count_received(true),
+        WirePayload::Catalog { .. } | WirePayload::Query { .. } => {
+            shared.traffic[local].count_query_received();
+        }
+        _ => shared.traffic[local].count_received(false),
+    }
+    burst.push(Work::Deliver(local as u32, payload));
+}
+
 /// Owns the timer wheels (one shard per reader): drains each shard's
-/// schedule inbox, fires due deadlines as [`Work::Wake`] items.
+/// schedule inbox, fires due deadlines as [`Work::Wake`] items — one
+/// burst per advance.
 fn timer_loop(shared: &Shared, cycle_ms: u64) {
     let mut wheel = ShardedTimerWheel::for_cycle(shared.timer_inboxes.len(), cycle_ms.max(1));
     let mut scratch: Vec<(u64, u32)> = Vec::new();
+    let mut fired: Vec<Work> = Vec::new();
     let mut ticks = 0u64;
     let mut health_cursor = 0usize;
     while !shared.stop.load(Ordering::Relaxed) {
@@ -1406,8 +1457,9 @@ fn timer_loop(shared: &Shared, cycle_ms: u64) {
         let now = shared.now_ms();
         wheel.advance_entries(now, |deadline, node| {
             shared.fire_lag.record(now.saturating_sub(deadline) * 1_000);
-            shared.work.push(Work::Wake(node, deadline));
+            fired.push(Work::Wake(node, deadline));
         });
+        shared.work.push_all(&mut fired);
         ticks += 1;
         // The wheel ticks every millisecond; derived gauges only need to
         // move on scrape timescales, so refresh them every ~quarter
@@ -1420,16 +1472,17 @@ fn timer_loop(shared: &Shared, cycle_ms: u64) {
 }
 
 /// Recomputes the gauges that are ratios or samples over shared state:
-/// `io.syscalls_per_datagram` from the syscall counters and traffic
-/// cells, and the `membership.view_*` health pair from one vnode's
-/// directory per call (round-robin, skipping vnodes a worker holds
-/// locked — a gauge sample must never stall the protocol path).
+/// `io.syscalls_per_datagram` from the syscall counters and the traffic
+/// cells' frame counts (the name predates bundling: its denominator is
+/// frames, not datagrams), and the `membership.view_*` health pair from
+/// one vnode's directory per call (round-robin, skipping vnodes a worker
+/// holds locked — a gauge sample must never stall the protocol path).
 fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) {
     if !shared.registry.is_enabled() {
         return;
     }
     let syscalls = shared.recv_calls.get() + shared.send_calls.get();
-    let datagrams: u64 = shared
+    let frames: u64 = shared
         .traffic
         .iter()
         .map(|cell| {
@@ -1437,10 +1490,10 @@ fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) 
             counts.sent() + counts.received()
         })
         .sum();
-    if datagrams > 0 {
+    if frames > 0 {
         shared
             .syscalls_per_datagram
-            .set(syscalls as f64 / datagrams as f64);
+            .set(syscalls as f64 / frames as f64);
     }
     for _ in 0..shared.nodes.len().min(8) {
         let index = *health_cursor % shared.nodes.len();
@@ -1457,9 +1510,10 @@ fn refresh_derived_gauges(shared: &Shared, now: u64, health_cursor: &mut usize) 
 }
 
 /// Executes per-node protocol steps until shutdown. Outbound frames are
-/// queued per home socket and flushed as one burst (`sendmmsg` on the
-/// batched backend) once the work queue runs dry or [`BATCH`] frames have
-/// accumulated — frames never wait on a sleeping worker.
+/// bundled per home socket and destination, and flushed as one burst
+/// (`sendmmsg` on the batched backend) once the work queue runs dry or
+/// [`BATCH`] frames have accumulated — frames never wait on a sleeping
+/// worker.
 fn worker_loop(shared: &Shared) {
     let mut dir_out: Vec<DirectoryMessage> = Vec::new();
     // One send batch per reader socket; meta = (local node, frame kind).
@@ -1575,22 +1629,18 @@ fn step_vnode(
                 Some(pb) => {
                     // The membership ledger is charged what the trailer
                     // adds on top of the plain aggregation frame.
-                    let trailer = Frame::Piggybacked(&out.message, pb).encoded_len()
-                        - Frame::Aggregation(&out.message).encoded_len();
+                    let frame = Frame::Piggybacked(&out.message, pb);
+                    let trailer =
+                        frame.encoded_len() - Frame::Aggregation(&out.message).encoded_len();
                     shared.delta_bytes.add(trailer as u64);
-                    (
-                        encode_mux_piggyback_frame(out.to, &out.message, pb),
-                        FrameKind::Piggybacked {
-                            trailer: trailer as u32,
-                        },
-                    )
+                    let kind = FrameKind::Piggybacked {
+                        trailer: trailer as u32,
+                    };
+                    (frame, kind)
                 }
-                None => (
-                    encode_mux_frame(out.to, &out.message),
-                    FrameKind::Aggregation,
-                ),
+                None => (Frame::Aggregation(&out.message), FrameKind::Aggregation),
             };
-            batch.push(frame, target, (index as u32, kind));
+            batch.push_frame(target, out.to, &frame, (index as u32, kind));
         }
     }
     for msg in dir_out.drain(..) {
@@ -1602,38 +1652,37 @@ fn step_vnode(
         let Some(target) = shared.dest_addr(to.index()) else {
             continue;
         };
-        let frame = encode_mux_directory_frame(to, &msg.payload);
+        let frame = Frame::Directory(&msg.payload);
+        let len = batch.push_frame(target, to, &frame, (index as u32, FrameKind::Membership));
         if matches!(msg.payload, DirectoryPayload::View { delta: true, .. }) {
-            shared.delta_bytes.add(frame.len() as u64);
+            shared.delta_bytes.add(len as u64);
         }
-        batch.push(frame, target, (index as u32, FrameKind::Membership));
     }
     let from = NodeId::new((shared.base + index) as u64);
-    for out in query_out {
+    for out in &query_out {
         let (to, frame) = match out {
             QueryOutbound::Aggregation { to, query, message } => {
-                (to, encode_mux_query_frame(to, &query, &message))
+                (*to, Frame::Query { query, message })
             }
-            QueryOutbound::Catalog { to, entries } => {
-                (to, encode_mux_catalog_frame(to, from, &entries))
-            }
+            QueryOutbound::Catalog { to, entries } => (*to, Frame::Catalog { from, entries }),
         };
         let Some(target) = shared.dest_addr(to.index()) else {
             continue;
         };
-        batch.push(frame, target, (index as u32, FrameKind::Query));
+        batch.push_frame(target, to, &frame, (index as u32, FrameKind::Query));
     }
     batch.len() - before
 }
 
-/// Transmits every queued frame, charging each sender's traffic cell on
-/// success and its `send_errors` on kernel refusal.
+/// Transmits every queued frame — one datagram per destination socket,
+/// more only past the bundle cap — charging each frame's sender its
+/// frame and bytes on success and a `send_errors` on kernel refusal.
 fn flush_pending(shared: &Shared, pending: &mut [SendBatch<(u32, FrameKind)>]) {
     for (s, batch) in pending.iter_mut().enumerate() {
         if batch.is_empty() {
             continue;
         }
-        let syscalls = batch.flush(&shared.sockets[s], shared.io, |&(node, kind), len, ok| {
+        let flushed = batch.flush(&shared.sockets[s], shared.io, |&(node, kind), len, ok| {
             let cell = &shared.traffic[node as usize];
             if !ok {
                 cell.count_send_error();
@@ -1648,7 +1697,8 @@ fn flush_pending(shared: &Shared, pending: &mut [SendBatch<(u32, FrameKind)>]) {
                 FrameKind::Query => cell.count_query_sent(len),
             }
         });
-        shared.send_calls.add(syscalls);
+        shared.send_calls.add(flushed.syscalls);
+        shared.datagrams_sent.add(flushed.datagrams);
     }
 }
 
@@ -2053,6 +2103,44 @@ mod tests {
         assert!(
             per_node.iter().filter(|c| c.sent() > 0).count() >= 3,
             "sends not attributed per node"
+        );
+    }
+
+    #[test]
+    fn frames_share_datagrams_while_ledgers_count_frames() {
+        let n = 64;
+        let mut cluster = MuxCluster::spawn(
+            MuxClusterConfig::new(n, node_config(10, 10))
+                .with_workers(1)
+                .with_readers(1),
+            |i| i as f64,
+        )
+        .unwrap();
+        let datagrams = |c: &MuxCluster| c.registry().counter_value("io.datagrams_sent");
+        std::thread::sleep(Duration::from_millis(300));
+        let (datagrams0, frames0) = (datagrams(&cluster), cluster.total_datagram_counts().sent());
+        std::thread::sleep(Duration::from_millis(1_000));
+        let (datagrams1, frames1) = (datagrams(&cluster), cluster.total_datagram_counts().sent());
+        // Quiesce, so every counted exchange has left the workers.
+        cluster.stop_and_join();
+        let totals = cluster.total_datagram_counts();
+        let exchanges = cluster.registry().counter_value("agg.exchanges");
+        drop(cluster);
+        let (sent_datagrams, sent_frames) = (datagrams1 - datagrams0, frames1 - frames0);
+        assert!(sent_frames > 0, "cluster never sent");
+        assert!(
+            sent_datagrams * 4 <= sent_frames,
+            "{sent_datagrams} datagrams carried only {sent_frames} frames"
+        );
+        // The ledgers still count frames: one request per exchange, one
+        // response per request handled — all but the last few.
+        assert_eq!(totals.send_errors, 0);
+        assert!(exchanges > 0);
+        assert!(
+            totals.aggregation_sent <= 2 * exchanges
+                && totals.aggregation_sent + n as u64 >= 2 * exchanges,
+            "{} aggregation frames for {exchanges} exchanges",
+            totals.aggregation_sent
         );
     }
 

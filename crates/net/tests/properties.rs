@@ -4,7 +4,10 @@
 //! turned into a `Frame` encodes to exactly `encoded_len()` bytes,
 //! decodes back to itself, routes by destination behind the mux prefix
 //! (through the same named wrappers the runtime sends with), and no
-//! strict prefix of its bytes decodes.
+//! strict prefix of its bytes decodes. Two more hold the mux bundle
+//! envelope to the same trust boundary: garbage behind the bundle
+//! version never panics, and a cut bundle yields exactly its complete
+//! leading frames, then one `Truncated`.
 
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{InstanceState, Message};
@@ -12,7 +15,8 @@ use epidemic_common::NodeId;
 use epidemic_net::codec::{
     decode_datagram, decode_mux_datagram, decode_rpc_response, encode_mux_catalog_frame,
     encode_mux_directory_frame, encode_mux_frame, encode_mux_piggyback_frame,
-    encode_mux_query_frame, encode_rpc_request, encode_rpc_response, DecodeError, WirePayload,
+    encode_mux_query_frame, encode_rpc_request, encode_rpc_response, for_each_mux_frame,
+    DecodeError, MuxBundle, WirePayload, MUX_BUNDLE_VERSION,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_newscast::node::ViewPayload;
@@ -283,5 +287,76 @@ proptest! {
         let mut framed = vec![epidemic_net::codec::WIRE_VERSION, tag];
         framed.extend_from_slice(&raw);
         let _ = decode_datagram(&framed);
+    }
+
+    #[test]
+    fn bundle_garbage_never_panics(
+        raw in prop::collection::vec(any::<u8>(), 0..256),
+        chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..8),
+    ) {
+        // Arbitrary bytes behind the bundle version: any verdict but a
+        // panic, and never silence — every datagram yields an item.
+        let mut bundle = vec![MUX_BUNDLE_VERSION];
+        bundle.extend_from_slice(&raw);
+        let mut items = 0usize;
+        for_each_mux_frame(&bundle, |_| items += 1);
+        prop_assert!(items >= 1);
+        // Well-formed length prefixes around garbage frames: one verdict
+        // per frame, each judged alone.
+        let mut framed = vec![MUX_BUNDLE_VERSION];
+        for chunk in &chunks {
+            framed.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+            framed.extend_from_slice(chunk);
+        }
+        let mut verdicts = 0usize;
+        for_each_mux_frame(&framed, |_| verdicts += 1);
+        prop_assert_eq!(verdicts, chunks.len().max(1));
+    }
+
+    #[test]
+    fn bundle_prefixes_yield_leading_frames_then_one_truncated(
+        payloads in prop::collection::vec(wire_payload(), 2..6),
+        to in any::<u64>(),
+    ) {
+        let mut bundle = MuxBundle::new();
+        let mut sent = Vec::new();
+        for (k, payload) in payloads.iter().enumerate() {
+            let dest = NodeId::new(to.wrapping_add(k as u64));
+            if bundle.push(dest, &payload.as_frame()).is_none() {
+                break;
+            }
+            sent.push((dest, payload.clone()));
+        }
+        let bytes = bundle.datagram().to_vec();
+        let mut whole = Vec::new();
+        for_each_mux_frame(&bytes, |frame| whole.push(frame));
+        let expected: Vec<_> = sent.iter().cloned().map(Ok).collect();
+        prop_assert_eq!(&whole, &expected);
+        // Where each frame ends inside the datagram (a bare frame ends at
+        // the datagram's end).
+        let mut ends = Vec::new();
+        if sent.len() == 1 {
+            ends.push(bytes.len());
+        } else {
+            let mut at = 1usize;
+            for (dest, payload) in &sent {
+                at += 2 + payload.as_frame().encode_mux(*dest).len();
+                ends.push(at);
+            }
+        }
+        for len in 0..bytes.len() {
+            let mut got = Vec::new();
+            for_each_mux_frame(&bytes[..len], |frame| got.push(frame));
+            let complete = ends.iter().filter(|&&end| end <= len).count();
+            prop_assert_eq!(&got[..complete.min(got.len())], &expected[..complete]);
+            // A cut at a frame boundary leaves a shorter valid bundle;
+            // any other cut ends in exactly one `Truncated`.
+            if complete > 0 && ends.contains(&len) {
+                prop_assert_eq!(got.len(), complete, "prefix of length {}", len);
+            } else {
+                prop_assert_eq!(got.len(), complete + 1, "prefix of length {}", len);
+                prop_assert_eq!(&got[complete], &Err(DecodeError::Truncated));
+            }
+        }
     }
 }

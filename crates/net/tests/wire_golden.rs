@@ -2,6 +2,9 @@
 //! kind, pinned as hex. The fixtures were captured from the per-tag
 //! encoders that preceded the `Frame` codec; a diff here means the wire
 //! format changed, which needs a new `WIRE_VERSION` or `MUX_WIRE_VERSION`.
+//! The last fixture is a two-frame mux bundle, its hex written out from
+//! the envelope layout around two of the pinned mux frames: bundling
+//! wraps frames, it never re-encodes them.
 
 use epidemic_aggregation::value::InstanceMap;
 use epidemic_aggregation::{AggregateKind, InstanceState, Message};
@@ -9,7 +12,8 @@ use epidemic_common::NodeId;
 use epidemic_net::codec::{
     decode_datagram, decode_mux_datagram, encode_mux_catalog_frame, encode_mux_directory_frame,
     encode_mux_frame, encode_mux_piggyback_frame, encode_mux_query_frame, encode_rpc_request,
-    encode_rpc_response, Frame, MUX_WIRE_VERSION, WIRE_VERSION,
+    encode_rpc_response, for_each_mux_frame, Frame, MuxBundle, MUX_BUNDLE_VERSION,
+    MUX_WIRE_VERSION, WIRE_VERSION,
 };
 use epidemic_net::directory::{DirectoryPayload, IntroduceEntry, Piggyback};
 use epidemic_newscast::node::ViewPayload;
@@ -44,6 +48,7 @@ const GOLDEN: &[(&str, &str)] = &[
         ("mux_directory_introduce", "02850300000000000004070700000003000100000063000000000200000000000000047f000001c80fffffffffffffffff0620010db8000000000000000000000001ffff"),
         ("mux_catalog", "020500000000000000040b02000000000000000200086c6f61642e703939050c000000ee020000000000009600000000000000905f01000000000000000000000004c0640000001900000003000000003930000000000000c98f01000000000004676f6e65030a000000e803000000000000c800000000000000000000000000000000000000000000000000000000000000090000000100000000000000000000000000000000"),
         ("mux_query", "024d00000000000000040c086c6f61642e703939040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f"),
+        ("bundle_two_frames", "03490002ff03000000000000040007000000000000002a000000000000000200000000000000000a400102000300000000000000000000000000c03f8403000000000000000000000000f03f21000284030000000000000408efbeadde02000100000009000000ffffffff00000000"),
 ];
 
 fn hex(bytes: &[u8]) -> String {
@@ -214,6 +219,13 @@ fn frames() -> Vec<(&'static str, Vec<u8>)> {
             "mux_query",
             encode_mux_query_frame(NodeId::new(77), "load.p99", &request),
         ),
+        ("bundle_two_frames", {
+            // mux_aggregation, then mux_directory_view, in one datagram.
+            let mut bundle = MuxBundle::new();
+            bundle.push(NodeId::new(1023), &Frame::Aggregation(&request));
+            bundle.push(NodeId::new(900), &Frame::Directory(&view(false, true)));
+            bundle.datagram().to_vec()
+        }),
     ]
 }
 
@@ -221,6 +233,7 @@ fn frames() -> Vec<(&'static str, Vec<u8>)> {
 fn every_tag_encodes_to_its_golden_bytes() {
     assert_eq!(WIRE_VERSION, 4);
     assert_eq!(MUX_WIRE_VERSION, 2);
+    assert_eq!(MUX_BUNDLE_VERSION, 3);
     let frames = frames();
     assert_eq!(frames.len(), GOLDEN.len());
     for ((name, bytes), (golden_name, golden_hex)) in frames.iter().zip(GOLDEN) {
@@ -229,6 +242,11 @@ fn every_tag_encodes_to_its_golden_bytes() {
         // Every fixture is also a well-formed datagram.
         let decoded = if name.starts_with("mux_") {
             decode_mux_datagram(bytes).map(|_| ())
+        } else if name.starts_with("bundle_") {
+            let mut verdicts = Vec::new();
+            for_each_mux_frame(bytes, |frame| verdicts.push(frame.map(|_| ())));
+            assert_eq!(verdicts.len(), 2, "{name} carries two frames");
+            verdicts.into_iter().collect()
         } else {
             decode_datagram(bytes).map(|_| ())
         };

@@ -127,8 +127,9 @@ impl QueryDescriptor {
     /// # Errors
     ///
     /// [`QueryError::InvalidDescriptor`] names the first violated
-    /// constraint: empty/oversized name, γ = 0, δ = 0, or a timeout not
-    /// in `1..cycle_length`.
+    /// constraint: empty/oversized name, γ = 0, δ = 0, a timeout not
+    /// in `1..cycle_length`, or a NaN/±∞ default value (every replica
+    /// seeds its estimate with it, and averaging would spread it).
     pub fn validate(&self) -> Result<(), QueryError> {
         if self.name.is_empty() {
             return Err(QueryError::InvalidDescriptor("empty query name"));
@@ -149,6 +150,11 @@ impl QueryDescriptor {
         if self.timeout == 0 || self.timeout >= self.cycle_length {
             return Err(QueryError::InvalidDescriptor(
                 "timeout must be positive and shorter than the cycle",
+            ));
+        }
+        if !self.default_value.is_finite() {
+            return Err(QueryError::InvalidDescriptor(
+                "default value must be finite",
             ));
         }
         Ok(())
@@ -225,6 +231,20 @@ mod tests {
         .validate()
         .is_err());
         assert!(QueryDescriptor { timeout: 0, ..base }.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_defaults() {
+        let base = QueryDescriptor::new("q", AggregateKind::Average);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                base.clone().with_default_value(bad).validate(),
+                Err(QueryError::InvalidDescriptor(
+                    "default value must be finite"
+                ))
+            );
+        }
+        base.with_default_value(-f64::MAX).validate().unwrap();
     }
 
     #[test]

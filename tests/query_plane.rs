@@ -448,3 +448,58 @@ fn non_finite_rpc_submits_are_rejected() {
     }
     cluster.shutdown();
 }
+
+/// Defaults every replica would seed its estimate with: one NaN or ±∞
+/// would poison the whole query, so installs must refuse them like any
+/// other malformed descriptor.
+const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+#[test]
+fn non_finite_query_defaults_are_refused_by_mux_install() {
+    let cluster = rpc_cluster(4, 9);
+    for (i, &default) in NON_FINITE.iter().enumerate() {
+        let name = format!("bad{i}");
+        let result = cluster.install_query(0, mux_descriptor(&name).with_default_value(default));
+        assert!(
+            matches!(result, Err(QueryError::InvalidDescriptor(_))),
+            "default {default}: {result:?}"
+        );
+        assert!(matches!(
+            cluster.query_estimate(0, &name),
+            Err(QueryError::UnknownQuery)
+        ));
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn non_finite_query_defaults_are_refused_by_sim_rpc() {
+    let mut cfg = EventConfig {
+        scenario: Scenario {
+            n: 8,
+            ..Scenario::default()
+        },
+        duration: 5_000,
+        ..EventConfig::default()
+    };
+    cfg.query_script = NON_FINITE
+        .iter()
+        .enumerate()
+        .map(|(i, &default)| QueryAction {
+            at: 1_000,
+            node: i as u32,
+            request: RpcRequest::Install {
+                id: i as u64,
+                descriptor: sim_descriptor(&format!("bad{i}")).with_default_value(default),
+            },
+        })
+        .collect();
+    let out = cfg.run(3);
+    assert_eq!(out.query_responses.len(), NON_FINITE.len());
+    for response in &out.query_responses {
+        assert_eq!(response.status, RpcStatus::BadRequest, "{response:?}");
+    }
+    for i in 0..NON_FINITE.len() {
+        assert!(out.query_values(&format!("bad{i}")).is_empty());
+    }
+}

@@ -16,8 +16,10 @@ use epidemic::aggregation::{
 use epidemic::common::NodeId;
 use epidemic::net::batch::IoBackend;
 use epidemic::net::cluster::Cluster;
-use epidemic::net::codec::{decode_rpc_response, encode_mux_frame, encode_rpc_request};
-use epidemic::net::directory::{DirectorySpec, GossipDirectoryConfig};
+use epidemic::net::codec::{
+    decode_rpc_response, encode_mux_frame, encode_rpc_request, Frame, MuxBundle,
+};
+use epidemic::net::directory::{DirectoryPayload, DirectorySpec, GossipDirectoryConfig};
 use epidemic::net::mux::{MuxCluster, MuxClusterConfig, PeerTable};
 use epidemic::query::{RpcRequest, RpcStatus};
 use std::time::Duration;
@@ -764,4 +766,45 @@ fn nan_exchange_frame_is_rejected_and_counted() {
         "decode rejects {rejects} of {sent}"
     );
     assert!(metrics.contains("wire_decode_rejects"), "{metrics}");
+}
+
+#[test]
+fn bundle_with_a_poisoned_frame_delivers_its_valid_frames() {
+    // One datagram, three frames: a join for vnode 0, a NaN exchange
+    // request for vnode 1, a join for vnode 2. The static directory
+    // never sends membership traffic, so the two joins are the only
+    // membership frames the cluster can receive.
+    let config = NodeConfig::builder()
+        .gamma(8)
+        .cycle_length(25)
+        .timeout(10)
+        .instance(InstanceSpec::AVERAGE)
+        .build()
+        .unwrap();
+    let cluster = MuxCluster::spawn(MuxClusterConfig::new(4, config).with_readers(1), |i| {
+        i as f64
+    })
+    .expect("spawn cluster");
+    std::thread::sleep(Duration::from_millis(100));
+    let rejects_before = cluster.registry().counter_value("wire.decode_rejects");
+    let join = DirectoryPayload::Join { from: 999 };
+    let poison = Message::request(NodeId::new(999), 0, vec![InstanceState::Scalar(f64::NAN)]);
+    let mut bundle = MuxBundle::new();
+    bundle.push(cluster.node_id(0), &Frame::Directory(&join));
+    bundle.push(cluster.node_id(1), &Frame::Aggregation(&poison));
+    bundle.push(cluster.node_id(2), &Frame::Directory(&join));
+    assert_eq!(bundle.frames(), 3);
+    let attacker = std::net::UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    attacker.send_to(bundle.datagram(), cluster.addr()).unwrap();
+    let membership = |i| cluster.datagram_counts(i).membership_received;
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while membership(0) + membership(2) < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    let received: Vec<u64> = (0..4).map(membership).collect();
+    let rejects = cluster.registry().counter_value("wire.decode_rejects") - rejects_before;
+    cluster.shutdown();
+    assert_eq!(received, vec![1, 0, 1, 0], "valid frames around the poison");
+    assert_eq!(rejects, 1, "the poisoned frame alone is rejected");
 }
